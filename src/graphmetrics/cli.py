@@ -53,7 +53,7 @@ def parse_gen_spec(text: str) -> GraphSpec:
         target = int(rest[0])
         rest = rest[1:]
     kwargs: dict = {}
-    lo, hi = 1.0, 100.0
+    lo, hi = GraphSpec.weight_range  # the generator's own default
     for item in rest:
         if "=" not in item:
             raise GraphValidationError(f"bad generator option {item!r}")
@@ -203,96 +203,62 @@ def run_oracle(
     return metrics, reports
 
 
-def _bench_input_p1(g: Graph, name: str, repeats: int) -> list[BenchRow]:
-    r1_t, d1_t, rc1_t, dc1_t = [], [], [], []
-    counts: dict[str, float] = {}
-    radius = diameter = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        M = apsp_repeated_sssp(g)
-        apsp_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        radius, _ = scan_radius(M)
-        rc1_t.append(apsp_s + time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        diameter, _ = scan_diameter(M)
-        dc1_t.append(apsp_s + time.perf_counter() - t0)
-
-        provider = DistanceProvider.on_demand(g)
-        t0 = time.perf_counter()
-        rr = find_radius(provider)
-        r1_t.append(time.perf_counter() - t0)
-        counts["R1"] = rr.sssp_count
-        provider = DistanceProvider.on_demand(g)
-        t0 = time.perf_counter()
-        dr = diameter_p1(g, find_radius(provider), provider)
-        d1_t.append(time.perf_counter() - t0)
-        counts["D1"] = dr.sssp_count
-
-    def mean(xs):
-        return sum(xs) / len(xs)
-
-    n = g.n
-    return [
-        BenchRow(name, n, g.m, "RC1", radius, n, 1.0, _ms(mean(rc1_t))),
-        BenchRow(
-            name, n, g.m, "R1", radius, counts["R1"], counts["R1"] / n,
-            _ms(mean(r1_t)), mean(rc1_t) / mean(r1_t),
-        ),
-        BenchRow(name, n, g.m, "DC1", diameter, n, 1.0, _ms(mean(dc1_t))),
-        BenchRow(
-            name, n, g.m, "D1", diameter, counts["D1"], counts["D1"] / n,
-            _ms(mean(d1_t)), mean(dc1_t) / mean(d1_t),
-        ),
-    ]
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
 
 
-def _bench_input_p2(
-    g: Graph, name: str, repeats: int, baseline: str, max_matrix_n: int
+def _bench_input(
+    g: Graph, name: str, repeats: int, mode: str, baseline: str, max_matrix_n: int
 ) -> list[BenchRow]:
-    matrix = build_matrix(g, baseline=baseline, max_n=max_matrix_n)
-    r2_t, d2_t, rc2_t, dc2_t = [], [], [], []
-    radius = diameter = None
-    rows = {}
-    # untimed warm-up; the paper's timings also come from consecutive runs
-    scan_radius(matrix)
-    scan_diameter(matrix)
-    warm = DistanceProvider.from_matrix(matrix)
-    diameter_p2(matrix, find_radius(warm), provider=warm)
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        radius, _ = scan_radius(matrix)
-        rc2_t.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        diameter, _ = scan_diameter(matrix)
-        dc2_t.append(time.perf_counter() - t0)
+    """Mean times of the full scans (RC, DC) and the pivot searches (R, D).
 
-        provider = DistanceProvider.from_matrix(matrix)
-        t0 = time.perf_counter()
+    p1 times the repeated-Dijkstra APSP as part of each scan. p2 builds the
+    matrix once, untimed, and warms up before timing.
+    """
+    p2 = mode == "p2"
+    matrix = build_matrix(g, baseline=baseline, max_n=max_matrix_n) if p2 else None
+
+    def fresh() -> DistanceProvider:
+        return DistanceProvider.from_matrix(matrix) if p2 else DistanceProvider.on_demand(g)
+
+    def radius_then_diameter(provider: DistanceProvider):
         rr = find_radius(provider)
-        r2_t.append(time.perf_counter() - t0)
-        rows["R2"] = rr.rows_accessed
-        provider = DistanceProvider.from_matrix(matrix)
-        t0 = time.perf_counter()
-        dr = diameter_p2(matrix, find_radius(provider), provider=provider)
-        d2_t.append(time.perf_counter() - t0)
-        rows["D2"] = dr.rows_accessed
+        return diameter_p2(matrix, rr, provider=provider) if p2 else diameter_p1(g, rr, provider)
 
-    def mean(xs):
-        return sum(xs) / len(xs)
+    if p2:
+        # untimed warm-up; the paper's timings also come from consecutive runs
+        scan_radius(matrix)
+        scan_diameter(matrix)
+        radius_then_diameter(fresh())
+    total = dict.fromkeys(("RC", "R", "DC", "D"), 0.0)
+    for _ in range(repeats):
+        M, apsp_s = (matrix, 0.0) if p2 else _timed(apsp_repeated_sssp, g)
+        (radius, _), s = _timed(scan_radius, M)
+        total["RC"] += apsp_s + s
+        (diameter, _), s = _timed(scan_diameter, M)
+        total["DC"] += apsp_s + s
+        rr, s = _timed(find_radius, fresh())
+        total["R"] += s
+        dr, s = _timed(radius_then_diameter, fresh())
+        total["D"] += s
 
-    n = g.n
+    mean = {algo: t / repeats for algo, t in total.items()}
+    n, suffix = g.n, "2" if p2 else "1"
+    scan_sssp = 0 if p2 else n
+
+    def row(algo, value, sssp_count, speedup=None):
+        return BenchRow(
+            name, n, g.m, algo + suffix, value, sssp_count, sssp_count / n,
+            _ms(mean[algo]), speedup,
+        )
+
     return [
-        BenchRow(name, n, g.m, "RC2", radius, 0, 0.0, _ms(mean(rc2_t))),
-        BenchRow(
-            name, n, g.m, "R2", radius, 0, 0.0,
-            _ms(mean(r2_t)), mean(rc2_t) / mean(r2_t),
-        ),
-        BenchRow(name, n, g.m, "DC2", diameter, 0, 0.0, _ms(mean(dc2_t))),
-        BenchRow(
-            name, n, g.m, "D2", diameter, 0, 0.0,
-            _ms(mean(d2_t)), mean(dc2_t) / mean(d2_t),
-        ),
+        row("RC", radius, scan_sssp),
+        row("R", radius, rr.sssp_count, mean["RC"] / mean["R"]),
+        row("DC", diameter, scan_sssp),
+        row("D", diameter, dr.sssp_count, mean["DC"] / mean["D"]),
     ]
 
 
@@ -310,10 +276,7 @@ def run_bench(
         try:
             g = load_dimacs(value) if source == "path" else generate(parse_gen_spec(value))
             _check_connected_or_fail(g)
-            if mode == "p2":
-                rows.extend(_bench_input_p2(g, name, repeats, baseline, max_matrix_n))
-            else:
-                rows.extend(_bench_input_p1(g, name, repeats))
+            rows.extend(_bench_input(g, name, repeats, mode, baseline, max_matrix_n))
         except (DimacsParseError, GraphValidationError, DisconnectedGraphError,
                 MemoryError, OSError) as exc:
             rows.append(BenchRow(name=name, errors=str(exc)))

@@ -10,7 +10,6 @@ the first pair that cannot improve the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -45,14 +44,17 @@ def build_candidate_order(center_dist: np.ndarray) -> CandidateOrder:
     return CandidateOrder(order=order, sorted_dist=center_dist[order])
 
 
-def _pivot_bound(
-    pivots: list[int], get_row: Callable[[int], np.ndarray]
+def initial_lower_bound(
+    pivots: list[int], provider: DistanceProvider
 ) -> tuple[float, tuple[int, int]]:
-    """Largest distance over ordered pivot pairs; first achieving pair wins."""
+    """Largest distance over ordered pivot pairs; first achieving pair wins.
+
+    Reads only the pivots' rows, which the radius search already holds.
+    """
     best = -np.inf
     pair = (pivots[0], pivots[0])
     for a, p in enumerate(pivots):
-        row = get_row(p)
+        row = provider.row(p).dist
         for q in pivots[a + 1:]:
             v = float(row[q])
             if v > best:
@@ -61,27 +63,32 @@ def _pivot_bound(
     return best, pair
 
 
-def initial_lower_bound(
-    pivots: list[int], provider: DistanceProvider
-) -> tuple[float, tuple[int, int]]:
-    """Diameter lower bound from the pivot set, using only cached rows."""
-    return _pivot_bound(pivots, lambda p: provider.row(p).dist)
-
-
-def _tiny_result(g_or_n, rr: RadiusResult, weight: float) -> DiameterResult:
-    n = g_or_n
-    pair = (0, 0) if n == 1 else (0, 1)
-    value = 0.0 if n == 1 else weight
+def _result(
+    provider: DistanceProvider,
+    rr: RadiusResult,
+    diameter: float,
+    pair: tuple[int, int],
+    trace: list[float],
+    vertices_scanned: int = 0,
+    pairs_checked: int = 0,
+) -> DiameterResult:
     return DiameterResult(
-        diameter=value,
+        diameter=diameter,
         peripheral_pair=pair,
-        d_lower_trace=[value],
-        vertices_scanned=0,
-        pairs_checked=0,
-        sssp_count=rr.sssp_count,
-        rows_accessed=rr.rows_accessed,
+        d_lower_trace=trace,
+        vertices_scanned=vertices_scanned,
+        pairs_checked=pairs_checked,
+        sssp_count=provider.sssp_count,
+        rows_accessed=provider.rows_accessed,
         radius_result=rr,
     )
+
+
+def _tiny_result(provider: DistanceProvider, rr: RadiusResult) -> DiameterResult:
+    """n <= 2: the only pair is (0, n - 1), at distance 0 when n == 1."""
+    last = provider.n - 1
+    value = float(provider.row(0).dist[last])
+    return _result(provider, rr, value, (0, last), [value])
 
 
 def diameter_p2(
@@ -94,22 +101,24 @@ def diameter_p2(
     Only rows of vertices farther than half the current lower bound from the
     center can contain a distance beating the bound; the half-bound filter is
     re-evaluated against the updated bound before each row is scanned.
+    Every row is read through the provider, so its counters include them;
+    without a provider, a fresh one over the matrix counts this search alone.
     """
-    M = matrix.values
-    n = matrix.n
-    if n <= 2:
-        return _tiny_result(n, rr, float(M[0, 1]) if n == 2 else 0.0)
+    if provider is None:
+        provider = DistanceProvider.from_matrix(matrix)
+    if matrix.n <= 2:
+        return _tiny_result(provider, rr)
 
-    d_l, pair = _pivot_bound(rr.pivots, lambda p: M[p])
+    d_l, pair = initial_lower_bound(rr.pivots, provider)
     trace = [d_l]
-    center_row = M[rr.center]
+    center_row = provider.row(rr.center).dist
     # Superset of survivors under the initial bound; the bound only grows.
     candidates = np.flatnonzero(center_row > d_l / 2.0)
     scanned = 0
     for i in candidates.tolist():
         if center_row[i] <= d_l / 2.0:
             continue
-        row = M[i]
+        row = provider.row(i).dist
         j = int(row.argmax())
         scanned += 1
         v = float(row[j])
@@ -117,18 +126,7 @@ def diameter_p2(
             d_l = v
             pair = (i, j)
             trace.append(d_l)
-
-    extra_rows = len(rr.pivots) + scanned + 1  # pivot reads + scans + center row
-    return DiameterResult(
-        diameter=d_l,
-        peripheral_pair=pair,
-        d_lower_trace=trace,
-        vertices_scanned=scanned,
-        pairs_checked=0,
-        sssp_count=provider.sssp_count if provider else rr.sssp_count,
-        rows_accessed=provider.rows_accessed if provider else rr.rows_accessed + extra_rows,
-        radius_result=rr,
-    )
+    return _result(provider, rr, d_l, pair, trace, vertices_scanned=scanned)
 
 
 def diameter_p1(
@@ -143,8 +141,7 @@ def diameter_p1(
     """
     n = g.n
     if n <= 2:
-        w = float(provider.row(0).dist[1]) if n == 2 else 0.0
-        return _tiny_result(n, rr, w)
+        return _tiny_result(provider, rr)
 
     center_row = provider.row(rr.center).dist
     co = build_candidate_order(center_row)
@@ -167,20 +164,10 @@ def diameter_p1(
                     done = True  # best remaining sum failed: exact already
                 break
             l = order[j]
-            provider.row(k)
-            m_kl = float(provider.row(l).dist[k])
+            m_kl = float(provider.row(k).dist[l])  # k is the farther from the center
             if m_kl > d_l:
                 d_l = m_kl
                 pair = (k, l)
                 trace.append(d_l)
 
-    return DiameterResult(
-        diameter=d_l,
-        peripheral_pair=pair,
-        d_lower_trace=trace,
-        vertices_scanned=0,
-        pairs_checked=pairs_checked,
-        sssp_count=provider.sssp_count,
-        rows_accessed=provider.rows_accessed,
-        radius_result=rr,
-    )
+    return _result(provider, rr, d_l, pair, trace, pairs_checked=pairs_checked)

@@ -41,9 +41,6 @@ class Graph:
         lo, hi = self.indptr[u], self.indptr[u + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
 
-    def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
     @property
     def average_degree(self) -> float:
         return 2.0 * self.m / self.n if self.n else 0.0

@@ -21,15 +21,15 @@ FAR_PAIR_CAP = 64  # ties can make the far-pair walk cycle; any pair is sound
 class PivotState:
     """Mutable search state: pivots, per-vertex pivot maxima and bounds.
 
-    One array (_candidate_key) holds the pivot maxima with examined vertices
-    pinned at +inf, so candidate selection is a single argmin; the handful of
-    examined vertices keep their true maxima in a side dict. The pivot_max
-    property reassembles the full per-vertex maxima on demand.
+    pivot_max[v] is the largest distance from v to any pivot, a lower bound
+    on ecc(v). An examined vertex is pinned at +inf: its eccentricity is
+    known and at least r_upper, so it no longer bounds the radius and
+    candidate selection is a single argmin.
     """
 
     n: int
-    _candidate_key: np.ndarray | None = None
-    _examined_max: dict[int, float] = field(default_factory=dict)
+    pivot_max: np.ndarray | None = None  # None until the first pivot
+    examined_count: int = 0
     pivots: list[int] = field(default_factory=list)
     r_lower: float = 0.0
     r_upper: float = math.inf
@@ -39,60 +39,35 @@ class PivotState:
     def new(cls, n: int) -> "PivotState":
         return cls(n=n)
 
-    @property
-    def examined(self) -> list[int]:
-        return list(self._examined_max)
-
-    @property
-    def pivot_max(self) -> np.ndarray:
-        """pivot_max[i] = max over current pivots p of distance(i, p)."""
-        if self._candidate_key is None:
-            return np.full(self.n, -math.inf)
-        arr = self._candidate_key.copy()
-        for v, val in self._examined_max.items():
-            arr[v] = val
-        return arr
-
     def update_pivot_max(self, row: DistanceRow) -> None:
         """Fold a new pivot's distance row into the per-vertex maxima."""
         if row.source in self.pivots:
             return  # duplicate pivot adds no information
-        dist = row.dist
-        if self._candidate_key is None:
-            self._candidate_key = dist.copy()
+        if self.pivot_max is None:
+            self.pivot_max = row.dist.copy()
         else:
             # max(inf, x) == inf keeps examined entries pinned
-            np.maximum(self._candidate_key, dist, out=self._candidate_key)
-            for v, val in self._examined_max.items():
-                dv = float(dist[v])
-                if dv > val:
-                    self._examined_max[v] = dv
+            np.maximum(self.pivot_max, row.dist, out=self.pivot_max)
         self.pivots.append(row.source)
 
     def mark_examined(self, v: int) -> None:
-        if v not in self._examined_max:
-            self._examined_max[v] = float(self._candidate_key[v])
-            self._candidate_key[v] = math.inf
+        if self.pivot_max[v] != math.inf:
+            self.pivot_max[v] = math.inf
+            self.examined_count += 1
 
     def select_candidate(self) -> tuple[int, float] | None:
         """Unexamined vertex with the smallest pivot-max bound.
 
-        The radius lower bound is the minimum of pivot_max over ALL vertices
-        (every vertex's eccentricity is at least its pivot_max entry, so the
-        smallest entry bounds the radius). Returns None when every vertex
-        has been examined.
+        Every unexamined vertex has ecc(v) >= pivot_max[v] and every examined
+        one has ecc(v) >= r_upper, so the radius is at least the smaller of
+        the smallest unexamined entry and r_upper. Returns None when every
+        vertex has been examined.
         """
-        if len(self._examined_max) == self.n:
+        if self.examined_count == self.n:
             return None
-        c = int(self._candidate_key.argmin())
-        r_l = float(self._candidate_key[c])
-        if self._examined_max:
-            r_l = min(r_l, min(self._examined_max.values()))
-        if r_l > self.r_lower:
-            self.r_lower = r_l
-        else:
-            r_l = self.r_lower
-        return c, r_l
+        c = int(self.pivot_max.argmin())
+        self.r_lower = max(self.r_lower, min(float(self.pivot_max[c]), self.r_upper))
+        return c, self.r_lower
 
 
 def far_pair(provider: DistanceProvider) -> tuple[int, int]:
@@ -143,7 +118,6 @@ def find_radius(provider: DistanceProvider) -> RadiusResult:
     state.update_pivot_max(provider.row(p1))
     state.update_pivot_max(provider.row(p2))
     trace: list[tuple[float, float]] = []
-    candidates = 0
 
     while True:
         picked = state.select_candidate()
@@ -151,7 +125,6 @@ def find_radius(provider: DistanceProvider) -> RadiusResult:
             break
         c, _ = picked
         state.mark_examined(c)
-        candidates += 1
         row = provider.row(c)
         ecc, far_v = eccentricity(row)
         if ecc < state.r_upper:
@@ -166,7 +139,7 @@ def find_radius(provider: DistanceProvider) -> RadiusResult:
         radius=state.r_upper,
         center=state.best_center,
         pivots=list(state.pivots),
-        candidates_examined=candidates,
+        candidates_examined=state.examined_count,
         sssp_count=provider.sssp_count,
         rows_accessed=provider.rows_accessed,
         bound_trace=trace,

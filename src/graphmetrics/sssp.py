@@ -38,14 +38,6 @@ class DistanceMatrix:
     n: int
     values: np.ndarray
 
-    @classmethod
-    def from_rows(cls, rows: list[DistanceRow]) -> "DistanceMatrix":
-        values = np.vstack([r.dist for r in rows])
-        return cls(n=values.shape[0], values=values)
-
-    def row(self, i: int) -> np.ndarray:
-        return self.values[i]
-
 
 def sssp(g: Graph, source: int) -> DistanceRow:
     """Dijkstra with a binary heap (lazy deletion) over the CSR adjacency.
@@ -131,7 +123,8 @@ class DistanceProvider:
         if cached is not None:
             return cached
         if self._matrix is not None:
-            row = DistanceRow(source=source, dist=self._matrix.values[source])
+            # positional: building the tuple by keyword costs more than the view
+            row = DistanceRow(source, self._matrix.values[source])
         else:
             row = sssp(self._graph, source)
             self.sssp_count += 1

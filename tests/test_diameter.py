@@ -95,6 +95,18 @@ class TestDiameterP2:
         assert (dr.diameter, dr.peripheral_pair) == (4.0, (0, 1))
 
 
+    def test_counts_every_row_read(self):
+        g = generate(GraphSpec(kind="sparse", n=12, seed=2, target_edges=16,
+                               integer_weights=True))
+        M = apsp_repeated_sssp(g)
+        p = DistanceProvider.from_matrix(M)
+        rr = find_radius(p)
+        dr = diameter_p2(M, rr, provider=p)
+        # pivot rows for the initial bound, the center row, the scanned rows
+        assert dr.rows_accessed - rr.rows_accessed == len(rr.pivots) + 1 + dr.vertices_scanned
+        assert dr.vertices_scanned > 0
+
+
 class TestDiameterP1:
     def test_path_terminates_without_extra_sssp(self, path4):
         p = DistanceProvider.on_demand(path4)
@@ -115,6 +127,16 @@ class TestDiameterP1:
         p = DistanceProvider.on_demand(g)
         dr = diameter_p1(g, find_radius(p), p)
         assert (dr.diameter, dr.peripheral_pair) == (4.0, (0, 1))
+
+
+    def test_reads_one_row_per_pair(self):
+        g = generate(GraphSpec(kind="sparse", n=12, seed=5, target_edges=16,
+                               integer_weights=True))
+        p = DistanceProvider.on_demand(g)
+        rr = find_radius(p)
+        dr = diameter_p1(g, rr, p)
+        assert (dr.diameter, dr.peripheral_pair) == (287.0, (8, 4))
+        assert dr.sssp_count - rr.sssp_count == 2
 
 
 class TestExactness:

@@ -100,8 +100,10 @@ class TestPivotState:
         state = PivotState.new(g.n)
         for p in pivots:
             state.update_pivot_max(DistanceRow(p, M[p]))
-        state.mark_examined(5)  # examined entries must keep true maxima
-        np.testing.assert_array_equal(state.pivot_max, M[pivots].max(axis=0))
+        state.mark_examined(5)  # examined entries are pinned at +inf
+        expected = M[pivots].max(axis=0)
+        expected[5] = math.inf
+        np.testing.assert_array_equal(state.pivot_max, expected)
 
 
 class TestFindRadius:
@@ -151,6 +153,18 @@ class TestFindRadius:
         g = generate(GraphSpec(kind="sparse", n=150, seed=6, target_edges=400))
         rr = find_radius(DistanceProvider.on_demand(g))
         assert rr.candidates_examined <= g.n
+
+    def test_float_weights_do_not_stall_the_bounds(self):
+        # Pivot rows summed from the other end sit one ulp below the true
+        # eccentricity here; the lower bound must still reach the upper.
+        g = generate(GraphSpec(kind="complete", n=8, seed=69))
+        rr = find_radius(DistanceProvider.on_demand(g))
+        oracle = scan_metrics(apsp_repeated_sssp(g))
+        assert rr.candidates_examined < g.n
+        lo, hi = rr.bound_trace[-1]
+        assert lo >= hi
+        assert rr.radius == oracle.radius
+        assert rr.center == oracle.all_centers[0]
 
     def test_counts_come_from_provider(self, path4):
         p = DistanceProvider.on_demand(path4)
