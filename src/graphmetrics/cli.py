@@ -73,21 +73,31 @@ def parse_gen_spec(text: str) -> GraphSpec:
     )
 
 
-def _resolve_input(args) -> tuple[Graph, str, int | None]:
-    if getattr(args, "input", None):
-        return load_dimacs(args.input), os.path.basename(args.input), None
-    spec = parse_gen_spec(args.gen)
-    return generate(spec), args.gen, spec.seed
+def _load(source: str, value: str) -> tuple[Graph, str, int | None]:
+    """Read a DIMACS file (source "path") or generate a spec ("gen").
 
-
-def _check_connected_or_fail(g: Graph) -> None:
+    Returns the graph, its report name and its generator seed. Raises
+    DisconnectedGraphError when vertex 0 cannot reach every vertex.
+    """
+    if source == "path":
+        g, name, seed = load_dimacs(value), os.path.basename(value), None
+    else:
+        spec = parse_gen_spec(value)
+        g, name, seed = generate(spec), value, spec.seed
     bad = unreachable_from(g)
     if bad is not None:
         raise DisconnectedGraphError(0, bad)
+    return g, name, seed
 
 
 def _ms(seconds: float) -> float:
     return seconds * 1000.0
+
+
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
 
 
 def run_metrics(
@@ -100,61 +110,35 @@ def run_metrics(
     max_matrix_n: int = DEFAULT_MATRIX_CAP,
 ) -> list[RunReport]:
     """Run the fast searches; one report per algorithm executed."""
-    _check_connected_or_fail(g)
     reports: list[RunReport] = []
     matrix_build_ms = None
     if mode == "p2":
-        t0 = time.perf_counter()
-        matrix = build_matrix(g, baseline=baseline, max_n=max_matrix_n)
-        matrix_build_ms = _ms(time.perf_counter() - t0)
+        matrix, build_s = _timed(build_matrix, g, baseline, max_matrix_n)
+        matrix_build_ms = _ms(build_s)
         provider = DistanceProvider.from_matrix(matrix)
     else:
         provider = DistanceProvider.on_demand(g)
 
-    t0 = time.perf_counter()
-    rr = find_radius(provider)
-    radius_ms = _ms(time.perf_counter() - t0)
+    def report(algo, result, seconds, **answer) -> RunReport:
+        return RunReport(
+            name=name, n=g.n, m=g.m, algo=algo + mode[1],  # "p1" -> R1, D1
+            sssp_count=result.sssp_count, sssp_share=result.sssp_count / g.n,
+            rows_accessed=result.rows_accessed, elapsed_ms=_ms(seconds),
+            matrix_build_ms=matrix_build_ms, seed=seed, **answer,
+        )
+
+    rr, radius_s = _timed(find_radius, provider)
     if target in ("radius", "both"):
-        reports.append(
-            RunReport(
-                name=name,
-                n=g.n,
-                m=g.m,
-                algo="R1" if mode == "p1" else "R2",
-                radius=rr.radius,
-                center=g.report_id(rr.center),
-                sssp_count=rr.sssp_count,
-                sssp_share=rr.sssp_count / g.n,
-                rows_accessed=rr.rows_accessed,
-                elapsed_ms=radius_ms,
-                matrix_build_ms=matrix_build_ms,
-                seed=seed,
-            )
-        )
+        reports.append(report("R", rr, radius_s, radius=rr.radius, center=g.report_id(rr.center)))
     if target in ("diameter", "both"):
-        t0 = time.perf_counter()
         if mode == "p2":
-            dr = diameter_p2(matrix, rr, provider=provider)
+            dr, diameter_s = _timed(diameter_p2, matrix, rr, provider)
         else:
-            dr = diameter_p1(g, rr, provider)
-        diameter_ms = _ms(time.perf_counter() - t0)
-        a, b = dr.peripheral_pair
-        reports.append(
-            RunReport(
-                name=name,
-                n=g.n,
-                m=g.m,
-                algo="D1" if mode == "p1" else "D2",
-                diameter=dr.diameter,
-                pair=[g.report_id(a), g.report_id(b)],
-                sssp_count=dr.sssp_count,
-                sssp_share=dr.sssp_count / g.n,
-                rows_accessed=dr.rows_accessed,
-                elapsed_ms=radius_ms + diameter_ms,
-                matrix_build_ms=matrix_build_ms,
-                seed=seed,
-            )
-        )
+            dr, diameter_s = _timed(diameter_p1, g, rr, provider)
+        reports.append(report(
+            "D", dr, radius_s + diameter_s,
+            diameter=dr.diameter, pair=[g.report_id(v) for v in dr.peripheral_pair],
+        ))
     return reports
 
 
@@ -165,11 +149,8 @@ def run_oracle(
     baseline: str = "auto",
     max_matrix_n: int = DEFAULT_MATRIX_CAP,
 ):
-    _check_connected_or_fail(g)
     which = choose_baseline(g, baseline)
-    t0 = time.perf_counter()
-    matrix = build_matrix(g, baseline=which, max_n=max_matrix_n)
-    build_s = time.perf_counter() - t0
+    matrix, build_s = _timed(build_matrix, g, which, max_matrix_n)
     metrics = scan_metrics(matrix)
     sssp_count = g.n if which == "dijkstra" else 0
     common = dict(
@@ -201,12 +182,6 @@ def run_oracle(
         ),
     ]
     return metrics, reports
-
-
-def _timed(fn, *args):
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return out, time.perf_counter() - t0
 
 
 def _bench_input(
@@ -272,10 +247,9 @@ def run_bench(
     """inputs: list of ("path"|"gen", value); failures land in the errors column."""
     rows: list[BenchRow] = []
     for source, value in inputs:
-        name = os.path.basename(value) if source == "path" else value
+        name = os.path.basename(value) if source == "path" else value  # for failed loads too
         try:
-            g = load_dimacs(value) if source == "path" else generate(parse_gen_spec(value))
-            _check_connected_or_fail(g)
+            g, _, _ = _load(source, value)
             rows.extend(_bench_input(g, name, repeats, mode, baseline, max_matrix_n))
         except (DimacsParseError, GraphValidationError, DisconnectedGraphError,
                 MemoryError, OSError) as exc:
@@ -309,6 +283,11 @@ def _add_input_args(p: argparse.ArgumentParser, repeatable: bool = False) -> Non
         grp.add_argument("--gen", help="generator spec kind:n[:m]:seed=s")
 
 
+def _add_matrix_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--baseline", choices=["auto", "dijkstra", "floyd"], default="auto")
+    p.add_argument("--max-matrix-n", type=int, default=DEFAULT_MATRIX_CAP)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphmetrics",
@@ -320,22 +299,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--mode", choices=["p1", "p2"], default="p1")
     p.add_argument("--target", choices=["radius", "diameter", "both"], default="both")
-    p.add_argument("--baseline", choices=["auto", "dijkstra", "floyd"], default="auto")
-    p.add_argument("--max-matrix-n", type=int, default=DEFAULT_MATRIX_CAP)
+    _add_matrix_args(p)
     p.add_argument("--json", help="write JSON report to this path")
 
     p = sub.add_parser("oracle", help="run the brute-force baselines")
     _add_input_args(p)
-    p.add_argument("--baseline", choices=["auto", "dijkstra", "floyd"], default="auto")
-    p.add_argument("--max-matrix-n", type=int, default=DEFAULT_MATRIX_CAP)
+    _add_matrix_args(p)
     p.add_argument("--json", help="write JSON report to this path")
 
     p = sub.add_parser("bench", help="benchmark suite, CSV output")
     _add_input_args(p, repeatable=True)
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--mode", choices=["p1", "p2"], default="p1")
-    p.add_argument("--baseline", choices=["auto", "dijkstra", "floyd"], default="auto")
-    p.add_argument("--max-matrix-n", type=int, default=DEFAULT_MATRIX_CAP)
+    _add_matrix_args(p)
     p.add_argument("--csv", help="write CSV report to this path (default stdout)")
 
     p = sub.add_parser("gen", help="generate a graph and write DIMACS")
@@ -352,27 +328,22 @@ def main(argv: list[str] | None = None) -> int:
             write_dimacs(g, args.output)
             print(f"wrote {args.output}: n={g.n} m={g.m} (arcs={2 * g.m})")
             return 0
-        if args.command == "metrics":
-            g, name, seed = _resolve_input(args)
-            reports = run_metrics(
-                g, name, seed, args.mode, args.target,
-                baseline=args.baseline, max_matrix_n=args.max_matrix_n,
-            )
+        matrix_args = dict(baseline=args.baseline, max_matrix_n=args.max_matrix_n)
+        if args.command in ("metrics", "oracle"):
+            g, name, seed = _load("path", args.input) if args.input else _load("gen", args.gen)
+            summary = None
+            if args.command == "metrics":
+                reports = run_metrics(g, name, seed, args.mode, args.target, **matrix_args)
+            else:
+                metrics, reports = run_oracle(g, name, seed, **matrix_args)
+                summary = (
+                    f"centers: {[g.report_id(c) for c in metrics.all_centers]}  "
+                    f"peripheral pairs: "
+                    f"{[(g.report_id(a), g.report_id(b)) for a, b in metrics.all_peripheral_pairs]}"
+                )
             _print_reports(reports)
-            if args.json:
-                write_reports_json(reports, args.json)
-            return 0
-        if args.command == "oracle":
-            g, name, seed = _resolve_input(args)
-            metrics, reports = run_oracle(
-                g, name, seed, baseline=args.baseline, max_matrix_n=args.max_matrix_n
-            )
-            _print_reports(reports)
-            print(
-                f"centers: {[g.report_id(c) for c in metrics.all_centers]}  "
-                f"peripheral pairs: "
-                f"{[(g.report_id(a), g.report_id(b)) for a, b in metrics.all_peripheral_pairs]}"
-            )
+            if summary:
+                print(summary)
             if args.json:
                 write_reports_json(reports, args.json)
             return 0
@@ -381,10 +352,10 @@ def main(argv: list[str] | None = None) -> int:
             if not inputs:
                 print("bench: no inputs given", file=sys.stderr)
                 return 2
-            rows = run_bench(
-                inputs, args.repeats, args.mode,
-                baseline=args.baseline, max_matrix_n=args.max_matrix_n,
-            )
+            if args.repeats < 1:
+                print(f"bench: --repeats must be at least 1, got {args.repeats}", file=sys.stderr)
+                return 2
+            rows = run_bench(inputs, args.repeats, args.mode, **matrix_args)
             if args.csv:
                 with open(args.csv, "w", encoding="utf-8", newline="") as fh:
                     write_bench_csv(rows, fh)

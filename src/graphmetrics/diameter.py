@@ -1,11 +1,12 @@
 """Diameter and peripheral-pair search on top of a completed radius search.
 
 Both variants first bound the diameter from below by the largest distance
-between pivots collected while finding the center, then discard every vertex
-(or vertex pair) the triangle inequality proves incapable of beating that
-bound. The matrix-backed variant scans the few surviving rows; the on-demand
-variant orders pairs by potential distance through the center and stops at
-the first pair that cannot improve the bound.
+between pivots collected while finding the center, then scan whole rows, one
+read each, of the vertices the triangle inequality through the center cannot
+rule out. The matrix-backed variant scans every vertex farther than half the
+bound from the center. The on-demand variant visits vertices in descending
+center distance (iFUB order) and stops at the first position where the two
+largest remaining center distances sum to no more than the bound.
 """
 from __future__ import annotations
 
@@ -134,10 +135,12 @@ def diameter_p1(
 ) -> DiameterResult:
     """On-demand diameter search (Problem 1).
 
-    Pairs are enumerated in descending order of their potential distance
-    through the center (sum of the two center distances). A pair whose sum
-    cannot beat the bound ends its row; if that happens on the first pair of
-    a row, no later pair can improve and the search terminates.
+    Vertices are visited in descending distance from the center, as in iFUB
+    (Crescenzi et al., TCS 2013). Each visited vertex's whole row is read
+    once and its maximum raises the bound, which settles every pair that
+    vertex is in. Any two vertices not yet visited are at most
+    sd[i] + sd[i + 1] apart (triangle inequality through the center), so the
+    scan stops at the first position where that sum cannot beat the bound.
     """
     n = g.n
     if n <= 2:
@@ -150,24 +153,22 @@ def diameter_p1(
 
     d_l, pair = initial_lower_bound(rr.pivots, provider)
     trace = [d_l]
-    pairs_checked = 0
-    done = False
+    pairs_checked = scanned = 0
     for i in range(n - 1):
-        if done:
+        pairs_checked += 1
+        if sd[i] + sd[i + 1] <= d_l:
             break
         k = order[i]
-        dk = sd[i]
-        for j in range(i + 1, n):
-            pairs_checked += 1
-            if dk + sd[j] <= d_l:
-                if j == i + 1:
-                    done = True  # best remaining sum failed: exact already
-                break
-            l = order[j]
-            m_kl = float(provider.row(k).dist[l])  # k is the farther from the center
-            if m_kl > d_l:
-                d_l = m_kl
-                pair = (k, l)
-                trace.append(d_l)
+        row = provider.row(k).dist
+        l = int(row.argmax())
+        scanned += 1
+        v = float(row[l])
+        if v > d_l:
+            d_l = v
+            pair = (k, l)
+            trace.append(d_l)
 
-    return _result(provider, rr, d_l, pair, trace, pairs_checked=pairs_checked)
+    return _result(
+        provider, rr, d_l, pair, trace,
+        vertices_scanned=scanned, pairs_checked=pairs_checked,
+    )

@@ -6,6 +6,7 @@ can echo input ids.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,8 @@ def from_arcs(
     if u.size:
         if u.min() < 0 or u.max() >= n or v.min() < 0 or v.max() >= n:
             raise GraphValidationError("vertex id out of range [0, n)")
+        if not np.isfinite(w).all():
+            raise GraphValidationError("non-finite edge weight")
         if w.min() < 0:
             raise GraphValidationError("negative edge weight")
 
@@ -158,8 +161,9 @@ def load_dimacs(path) -> Graph:
                     raise GraphValidationError(
                         f"line {lineno}: vertex id out of range [1, {n}]"
                     )
-                if weight < 0:
-                    raise GraphValidationError(f"line {lineno}: negative weight {weight}")
+                if not 0.0 <= weight < math.inf:  # also catches nan
+                    kind = "negative" if weight < 0 else "non-finite"
+                    raise GraphValidationError(f"line {lineno}: {kind} weight {weight}")
                 us.append(a - 1)
                 vs.append(b - 1)
                 ws.append(weight)
@@ -190,7 +194,11 @@ def write_dimacs(g: Graph, path) -> None:
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Seeded generator parameters; generation is a pure function of this."""
+    """Seeded generator parameters; generation is a pure function of this.
+
+    Weights are drawn uniformly from [lo, hi) as floats, or with
+    integer_weights from the integers of the closed range [int(lo), int(hi)].
+    """
 
     kind: str  # "complete" | "sparse"
     n: int
@@ -214,6 +222,7 @@ class GraphSpec:
 
 
 def _draw_weights(rng: np.random.Generator, count: int, spec: GraphSpec) -> np.ndarray:
+    """Uniform floats in [lo, hi), or uniform integers in [int(lo), int(hi)]."""
     lo, hi = spec.weight_range
     if spec.integer_weights:
         return rng.integers(int(lo), int(hi) + 1, size=count).astype(np.float64)

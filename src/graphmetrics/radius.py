@@ -35,10 +35,6 @@ class PivotState:
     r_upper: float = math.inf
     best_center: int | None = None
 
-    @classmethod
-    def new(cls, n: int) -> "PivotState":
-        return cls(n=n)
-
     def update_pivot_max(self, row: DistanceRow) -> None:
         """Fold a new pivot's distance row into the per-vertex maxima."""
         if row.source in self.pivots:
@@ -114,7 +110,7 @@ def find_radius(provider: DistanceProvider) -> RadiusResult:
     """
     n = provider.n
     p1, p2 = far_pair(provider)
-    state = PivotState.new(n)
+    state = PivotState(n)
     state.update_pivot_max(provider.row(p1))
     state.update_pivot_max(provider.row(p2))
     trace: list[tuple[float, float]] = []

@@ -90,6 +90,15 @@ class TestMetricsCommand:
         assert main(["metrics", "--input", str(p)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_is_named(self, tmp_path, capsys, weight):
+        p = tmp_path / "w.gr"
+        p.write_text(f"p sp 2 1\na 1 2 {weight}\n")
+        assert main(["metrics", "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: non-finite weight" in err
+        assert "disconnected" not in err
+
     def test_memory_guard_on_p2(self, tmp_path, capsys):
         assert main(["metrics", "--gen", "sparse:30:seed=0", "--mode", "p2",
                      "--max-matrix-n", "10"]) == 2
@@ -109,6 +118,12 @@ class TestOracleCommand:
     def test_path_centers(self, path_file, capsys):
         assert main(["oracle", "--input", path_file]) == 0
         assert "centers: [2, 3]" in capsys.readouterr().out
+
+    def test_disconnected_exits_nonzero(self, tmp_path, capsys):
+        p = tmp_path / "two.gr"
+        p.write_text(DISCONNECTED_FIXTURE)
+        assert main(["oracle", "--input", str(p)]) == 2
+        assert "unreachable" in capsys.readouterr().err
 
 
 class TestBenchCommand:
@@ -147,6 +162,10 @@ class TestBenchCommand:
 
     def test_no_inputs_is_an_error(self, capsys):
         assert main(["bench"]) == 2
+
+    def test_repeats_below_one_is_an_error(self, capsys):
+        assert main(["bench", "--gen", "complete:5:seed=0", "--repeats", "0"]) == 2
+        assert "--repeats" in capsys.readouterr().err
 
 
 class TestGenCommand:

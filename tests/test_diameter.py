@@ -138,6 +138,16 @@ class TestDiameterP1:
         assert (dr.diameter, dr.peripheral_pair) == (287.0, (8, 4))
         assert dr.sssp_count - rr.sssp_count == 2
 
+    def test_counts_every_row_read(self):
+        g = generate(GraphSpec(kind="sparse", n=12, seed=5, target_edges=16,
+                               integer_weights=True))
+        p = DistanceProvider.on_demand(g)
+        rr = find_radius(p)
+        dr = diameter_p1(g, rr, p)
+        # pivot rows for the initial bound, the center row, one read per scanned row
+        assert dr.rows_accessed - rr.rows_accessed == len(rr.pivots) + 1 + dr.vertices_scanned
+        assert dr.vertices_scanned > 0
+
 
 class TestExactness:
     @pytest.mark.parametrize("g", list(seeded_cases(24, master_seed=55)), ids=lambda g: f"n{g.n}m{g.m}")
@@ -146,9 +156,13 @@ class TestExactness:
         oracle = scan_metrics(M)
 
         p1 = DistanceProvider.on_demand(g)
-        dr1 = diameter_p1(g, find_radius(p1), p1)
+        rr1 = find_radius(p1)
+        dr1 = diameter_p1(g, rr1, p1)
         p2 = DistanceProvider.from_matrix(M)
-        dr2 = diameter_p2(M, find_radius(p2), provider=p2)
+        rr2 = find_radius(p2)
+        dr2 = diameter_p2(M, rr2, provider=p2)
+        for rr, dr in ((rr1, dr1), (rr2, dr2)):  # no row is read twice
+            assert dr.rows_accessed - rr.rows_accessed == len(rr.pivots) + 1 + dr.vertices_scanned
 
         assert dr1.diameter == oracle.diameter == dr2.diameter
         assert M.values[dr1.peripheral_pair] == oracle.diameter

@@ -89,6 +89,13 @@ class TestLoadDimacs:
         assert list(g2.edges()) == list(g.edges())
 
 
+class TestFromArcs:
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(GraphValidationError, match="non-finite"):
+            build_graph(3, [(0, 1, 1.0), (1, 2, weight)])
+
+
 class TestGenerate:
     def test_complete_edge_count(self):
         assert generate(GraphSpec(kind="complete", n=4, seed=0)).m == 6

@@ -51,7 +51,7 @@ class TestFarPair:
 
 class TestPivotState:
     def _state_with_pivots(self, g, pivots):
-        state = PivotState.new(g.n)
+        state = PivotState(g.n)
         for p in pivots:
             state.update_pivot_max(sssp(g, p))
         return state
@@ -83,7 +83,7 @@ class TestPivotState:
         assert state.pivot_max.tolist() == [3.0, 2.0, 2.0, 3.0]
 
     def test_first_row_becomes_pivot_max(self, path4):
-        state = PivotState.new(4)
+        state = PivotState(4)
         row = sssp(path4, 2)
         state.update_pivot_max(row)
         assert state.pivot_max.tolist() == row.dist.tolist()
@@ -97,7 +97,7 @@ class TestPivotState:
         g = generate(GraphSpec(kind="sparse", n=40, seed=2, target_edges=100))
         M = apsp_repeated_sssp(g).values
         pivots = [3, 17, 8, 25]
-        state = PivotState.new(g.n)
+        state = PivotState(g.n)
         for p in pivots:
             state.update_pivot_max(DistanceRow(p, M[p]))
         state.mark_examined(5)  # examined entries are pinned at +inf
