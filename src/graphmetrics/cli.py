@@ -11,6 +11,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .diameter import diameter_p1, diameter_p2
 from .graph import (
     DimacsParseError,
@@ -24,7 +26,6 @@ from .graph import (
 )
 from .oracle import (
     DEFAULT_MATRIX_CAP,
-    apsp_repeated_sssp,
     build_matrix,
     choose_baseline,
     scan_diameter,
@@ -33,24 +34,29 @@ from .oracle import (
 )
 from .radius import find_radius
 from .report import BenchRow, RunReport, write_bench_csv, write_reports_json
-from .sssp import DisconnectedGraphError, DistanceProvider
+from .sssp import DisconnectedGraphError, DistanceMatrix, DistanceProvider
 
 
 def parse_gen_spec(text: str) -> GraphSpec:
+    def number(convert, value: str, field: str):
+        try:
+            return convert(value)
+        except ValueError:
+            raise GraphValidationError(
+                f"bad {field} {value!r} in generator spec {text!r}"
+            ) from None
+
     parts = text.split(":")
     if len(parts) < 2:
         raise GraphValidationError(f"generator spec needs kind:n, got {text!r}")
     kind = parts[0]
     if kind == "sparse-connected":
         kind = "sparse"
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise GraphValidationError(f"bad vertex count in generator spec {text!r}") from None
+    n = number(int, parts[1], "vertex count")
     rest = parts[2:]
     target = None
     if rest and "=" not in rest[0]:
-        target = int(rest[0])
+        target = number(int, rest[0], "edge count")
         rest = rest[1:]
     kwargs: dict = {}
     lo, hi = GraphSpec.weight_range  # the generator's own default
@@ -59,13 +65,13 @@ def parse_gen_spec(text: str) -> GraphSpec:
             raise GraphValidationError(f"bad generator option {item!r}")
         key, value = item.split("=", 1)
         if key == "seed":
-            kwargs["seed"] = int(value)
+            kwargs["seed"] = number(int, value, "seed")
         elif key == "wlo":
-            lo = float(value)
+            lo = number(float, value, "wlo")
         elif key == "whi":
-            hi = float(value)
+            hi = number(float, value, "whi")
         elif key == "int":
-            kwargs["integer_weights"] = bool(int(value))
+            kwargs["integer_weights"] = bool(number(int, value, "int"))
         else:
             raise GraphValidationError(f"unknown generator option {key!r}")
     return GraphSpec(
@@ -189,14 +195,19 @@ def _bench_input(
 ) -> list[BenchRow]:
     """Mean times of the full scans (RC, DC) and the pivot searches (R, D).
 
-    p1 times the repeated-Dijkstra APSP as part of each scan. p2 builds the
-    matrix once, untimed, and warms up before timing.
+    p1 times an APSP as part of each scan, made from a fresh on-demand
+    provider's rows so that the scans run the same SSSP kernel as R1 and D1.
+    p2 builds the matrix once, untimed, and warms up before timing.
     """
     p2 = mode == "p2"
     matrix = build_matrix(g, baseline=baseline, max_n=max_matrix_n) if p2 else None
 
     def fresh() -> DistanceProvider:
         return DistanceProvider.from_matrix(matrix) if p2 else DistanceProvider.on_demand(g)
+
+    def provider_apsp() -> DistanceMatrix:
+        provider = fresh()
+        return DistanceMatrix(g.n, np.stack([provider.row(i).dist for i in range(g.n)]))
 
     def radius_then_diameter(provider: DistanceProvider):
         rr = find_radius(provider)
@@ -209,7 +220,7 @@ def _bench_input(
         radius_then_diameter(fresh())
     total = dict.fromkeys(("RC", "R", "DC", "D"), 0.0)
     for _ in range(repeats):
-        M, apsp_s = (matrix, 0.0) if p2 else _timed(apsp_repeated_sssp, g)
+        M, apsp_s = (matrix, 0.0) if p2 else _timed(provider_apsp)
         (radius, _), s = _timed(scan_radius, M)
         total["RC"] += apsp_s + s
         (diameter, _), s = _timed(scan_diameter, M)

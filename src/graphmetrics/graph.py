@@ -27,7 +27,7 @@ class Graph:
     Adjacency is symmetric by construction: every undirected edge is stored
     as two directed arcs with identical weight. Parallel edges are collapsed
     to the minimum weight and self-loops are dropped (neither can shorten a
-    shortest path).
+    shortest path). The CSR arrays are read-only.
     """
 
     n: int
@@ -83,6 +83,11 @@ def from_arcs(
             raise GraphValidationError("non-finite edge weight")
         if w.min() < 0:
             raise GraphValidationError("negative edge weight")
+        w_max = float(w.max())
+        if not math.isfinite(w_max * (n - 1)):  # the most edges a shortest path has
+            raise GraphValidationError(
+                f"edge weight {w_max} too large: a path of {n - 1} edges could overflow"
+            )
 
     uu = np.concatenate([u, v])
     vv = np.concatenate([v, u])
@@ -102,14 +107,17 @@ def from_arcs(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.add.at(indptr, uu + 1, 1)
     np.cumsum(indptr, out=indptr)
+    indices, weights = vv.copy(), ww.copy()
+    for a in (indptr, indices, weights):
+        a.flags.writeable = False  # shared by searches and copied into list views
     if original_ids is None:
         original_ids = np.arange(1, n + 1, dtype=np.int64)
     return Graph(
         n=n,
         m=uu.size // 2,
         indptr=indptr,
-        indices=vv.copy(),
-        weights=ww.copy(),
+        indices=indices,
+        weights=weights,
         original_ids=np.asarray(original_ids, dtype=np.int64),
     )
 

@@ -45,6 +45,16 @@ class TestGenSpecParsing:
             with pytest.raises(GraphValidationError):
                 parse_gen_spec(text)
 
+    @pytest.mark.parametrize("text, field", [
+        ("complete:5:seed=x", "seed 'x'"),
+        ("sparse:10:abc", "edge count 'abc'"),
+        ("complete:5:wlo=x", "wlo 'x'"),
+        ("complete:5:int=x", "int 'x'"),
+    ])
+    def test_non_numeric_field_is_named(self, capsys, text, field):
+        assert main(["metrics", "--gen", text]) == 2
+        assert f"bad {field} in generator spec" in capsys.readouterr().err
+
 
 class TestMetricsCommand:
     def test_path_fixture_values(self, path_file, tmp_path, capsys):
@@ -97,6 +107,14 @@ class TestMetricsCommand:
         assert main(["metrics", "--input", str(p)]) == 2
         err = capsys.readouterr().err
         assert "line 2: non-finite weight" in err
+        assert "disconnected" not in err
+
+    def test_overflowing_path_sum_is_named(self, tmp_path, capsys):
+        p = tmp_path / "big.gr"
+        p.write_text("p sp 3 2\na 1 2 1e308\na 2 3 1e308\n")
+        assert main(["metrics", "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "too large" in err
         assert "disconnected" not in err
 
     def test_memory_guard_on_p2(self, tmp_path, capsys):

@@ -95,6 +95,17 @@ class TestFromArcs:
         with pytest.raises(GraphValidationError, match="non-finite"):
             build_graph(3, [(0, 1, 1.0), (1, 2, weight)])
 
+    def test_weights_whose_path_sum_overflows_rejected(self):
+        with pytest.raises(GraphValidationError, match="too large"):
+            build_graph(3, [(0, 1, 1e308), (1, 2, 1e308)])
+        # n - 1 edges of the largest weight still sum to a finite distance
+        assert build_graph(3, [(0, 1, 8e307), (1, 2, 8e307)]).m == 2
+
+    @pytest.mark.parametrize("name", ["indptr", "indices", "weights"])
+    def test_csr_arrays_are_read_only(self, path4, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(path4, name)[:] = 0
+
 
 class TestGenerate:
     def test_complete_edge_count(self):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,13 +8,20 @@ from hypothesis import strategies as st
 from graphmetrics.graph import GraphSpec, generate
 from graphmetrics.oracle import apsp_repeated_sssp, floyd_warshall
 from graphmetrics.sssp import (
+    SPARSE_DEGREE_CUT,
+    CsrLists,
     DisconnectedGraphError,
     DistanceProvider,
+    csr_lists,
     eccentricity,
     sssp,
+    sssp_vectorized,
 )
 
 from conftest import build_graph
+
+# the package's `sssp` attribute is the function, not this module
+sssp_module = importlib.import_module("graphmetrics.sssp")
 
 
 class TestSssp:
@@ -45,6 +54,79 @@ class TestSssp:
         g = generate(GraphSpec(kind="sparse", n=n, seed=seed, target_edges=3 * n))
         s, t = int(rng.integers(0, n)), int(rng.integers(0, n))
         assert sssp(g, s).dist[t] == pytest.approx(sssp(g, t).dist[s], rel=1e-12)
+
+
+def _outcome(search, g, source):
+    """A row's bytes, or the vertex a DisconnectedGraphError names."""
+    try:
+        return search(g, source).dist.tobytes()
+    except DisconnectedGraphError as exc:
+        return ("unreachable", exc.source, exc.vertex)
+
+
+def _seeded_graph(seed, dense, weights, cut_off):
+    """Random graph on either side of SPARSE_DEGREE_CUT with float, integer
+    or partly zero weights, some edges listed twice with another weight, and
+    (cut_off) one vertex without edges."""
+    rng = np.random.default_rng(seed)
+    if dense:
+        n = int(rng.integers(70, 80))  # degree >= 68 even with a vertex cut off
+        u, v = np.triu_indices(n, k=1)
+    else:
+        n = int(rng.integers(2, 60))
+        perm = rng.permutation(n)
+        parents = [int(perm[rng.integers(0, i)]) for i in range(1, n)]
+        extra = int(rng.integers(0, 2 * n))
+        u = np.concatenate([perm[1:], rng.integers(0, n, extra)])
+        v = np.concatenate([parents, rng.integers(0, n, extra)]).astype(np.int64)
+    k = u.size // 4
+    u = np.concatenate([u, v[:k]])  # parallel arcs, listed in either direction
+    v = np.concatenate([v, u[:k]])
+    if weights == "float":
+        w = rng.uniform(0.0, 100.0, u.size)
+    elif weights == "int":
+        w = rng.integers(0, 4, u.size).astype(np.float64)  # zeros and ties
+    else:
+        w = rng.uniform(0.0, 100.0, u.size) * (rng.random(u.size) < 0.5)
+    if cut_off and n > 1:
+        lone = int(rng.integers(0, n))
+        keep = (u != lone) & (v != lone)
+        u, v, w = u[keep], v[keep], w[keep]
+    return build_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
+
+
+class TestListRelaxation:
+    """sssp's arc-by-arc relaxation against the vectorized reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dense=st.booleans(),
+        weights=st.sampled_from(["float", "int", "zero"]),
+        cut_off=st.booleans(),
+    )
+    def test_bit_identical_to_vectorized(self, seed, dense, weights, cut_off):
+        g = _seeded_graph(seed, dense, weights, cut_off)
+        assert (csr_lists(g) is None) == dense == (g.average_degree >= SPARSE_DEGREE_CUT)
+        # forced onto the list path whichever side of the cut g is on
+        lists = CsrLists(g.indptr.tolist(), g.indices.tolist(), g.weights.tolist())
+        sources = range(0, g.n, 1 + g.n // 4) if dense else range(g.n)
+        for s in sources:
+            expected = _outcome(sssp_vectorized, g, s)
+            assert _outcome(lambda g, s: sssp(g, s, lists), g, s) == expected
+            assert _outcome(sssp, g, s) == expected
+
+    def test_disconnected_names_the_same_vertex(self):
+        g = build_graph(5, [(0, 3, 1.0), (1, 2, 1.0), (3, 4, 0.0)])
+        for search in (sssp, sssp_vectorized):
+            with pytest.raises(DisconnectedGraphError) as exc:
+                search(g, 4)
+            assert (exc.value.source, exc.value.vertex) == (4, 1)
+
+    def test_source_out_of_range(self, path4):
+        for source in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                sssp(path4, source)
 
 
 class TestEccentricity:
@@ -90,6 +172,21 @@ class TestDistanceProvider:
     def test_rows_identical_to_fresh_sssp(self, star4):
         p = DistanceProvider.on_demand(star4)
         assert np.array_equal(p.row(1).dist, sssp(star4, 1).dist)
+
+    def test_on_demand_builds_the_list_view_once(self, monkeypatch):
+        g = generate(GraphSpec(kind="sparse", n=40, seed=3, target_edges=100))
+        built = []
+
+        def counting_csr_lists(graph):
+            built.append(graph)
+            return csr_lists(graph)
+
+        monkeypatch.setattr(sssp_module, "csr_lists", counting_csr_lists)
+        p = DistanceProvider.on_demand(g)
+        for s in range(g.n):
+            assert p.row(s).dist.tobytes() == sssp_vectorized(g, s).dist.tobytes()
+        assert p.sssp_count == g.n
+        assert built == [g]
 
     def test_requires_exactly_one_backing(self, path4):
         with pytest.raises(ValueError):
