@@ -3,7 +3,7 @@ undirected graphs using pivot-based bound tightening, with brute-force
 oracles and a benchmark harness.
 """
 
-from .diameter import CandidateOrder, DiameterResult, diameter_p1, diameter_p2, initial_lower_bound
+from .diameter import DiameterResult, diameter_p1, diameter_p2, initial_lower_bound
 from .graph import (
     DimacsParseError,
     Graph,
@@ -27,19 +27,16 @@ from .sssp import (
     DisconnectedGraphError,
     DistanceMatrix,
     DistanceProvider,
-    DistanceRow,
     eccentricity,
     sssp,
 )
 
 __all__ = [
-    "CandidateOrder",
     "DiameterResult",
     "DimacsParseError",
     "DisconnectedGraphError",
     "DistanceMatrix",
     "DistanceProvider",
-    "DistanceRow",
     "Graph",
     "GraphSpec",
     "GraphValidationError",

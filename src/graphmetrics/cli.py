@@ -11,8 +11,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .diameter import diameter_p1, diameter_p2
 from .graph import (
     DimacsParseError,
@@ -28,13 +26,14 @@ from .oracle import (
     DEFAULT_MATRIX_CAP,
     build_matrix,
     choose_baseline,
+    dijkstra_matrix,
     scan_diameter,
     scan_metrics,
     scan_radius,
 )
 from .radius import find_radius
 from .report import BenchRow, RunReport, write_bench_csv, write_reports_json
-from .sssp import DisconnectedGraphError, DistanceMatrix, DistanceProvider
+from .sssp import DisconnectedGraphError, DistanceProvider
 
 
 def parse_gen_spec(text: str) -> GraphSpec:
@@ -195,8 +194,8 @@ def _bench_input(
 ) -> list[BenchRow]:
     """Mean times of the full scans (RC, DC) and the pivot searches (R, D).
 
-    p1 times an APSP as part of each scan, made from a fresh on-demand
-    provider's rows so that the scans run the same SSSP kernel as R1 and D1.
+    p1 times an APSP as part of each scan, built by dijkstra_matrix so that
+    the scans run the same SSSP kernel as R1 and D1.
     p2 builds the matrix once, untimed, and warms up before timing.
     """
     p2 = mode == "p2"
@@ -204,10 +203,6 @@ def _bench_input(
 
     def fresh() -> DistanceProvider:
         return DistanceProvider.from_matrix(matrix) if p2 else DistanceProvider.on_demand(g)
-
-    def provider_apsp() -> DistanceMatrix:
-        provider = fresh()
-        return DistanceMatrix(g.n, np.stack([provider.row(i).dist for i in range(g.n)]))
 
     def radius_then_diameter(provider: DistanceProvider):
         rr = find_radius(provider)
@@ -220,7 +215,7 @@ def _bench_input(
         radius_then_diameter(fresh())
     total = dict.fromkeys(("RC", "R", "DC", "D"), 0.0)
     for _ in range(repeats):
-        M, apsp_s = (matrix, 0.0) if p2 else _timed(provider_apsp)
+        M, apsp_s = (matrix, 0.0) if p2 else _timed(dijkstra_matrix, g)
         (radius, _), s = _timed(scan_radius, M)
         total["RC"] += apsp_s + s
         (diameter, _), s = _timed(scan_diameter, M)

@@ -31,18 +31,10 @@ class DiameterResult:
     radius_result: RadiusResult
 
 
-@dataclass(frozen=True)
-class CandidateOrder:
-    """Vertices sorted by distance to the center, descending (ties: smaller id)."""
-
-    order: np.ndarray  # vertex ids
-    sorted_dist: np.ndarray  # sorted_dist[k] = distance from order[k] to center
-
-
-def build_candidate_order(center_dist: np.ndarray) -> CandidateOrder:
+def build_candidate_order(center_dist: np.ndarray) -> np.ndarray:
+    """Vertex ids by distance to the center, descending (ties: smaller id)."""
     n = center_dist.shape[0]
-    order = np.lexsort((np.arange(n), -center_dist))
-    return CandidateOrder(order=order, sorted_dist=center_dist[order])
+    return np.lexsort((np.arange(n), -center_dist))
 
 
 def initial_lower_bound(
@@ -55,7 +47,7 @@ def initial_lower_bound(
     best = -np.inf
     pair = (pivots[0], pivots[0])
     for a, p in enumerate(pivots):
-        row = provider.row(p).dist
+        row = provider.row(p)
         for q in pivots[a + 1:]:
             v = float(row[q])
             if v > best:
@@ -88,7 +80,7 @@ def _result(
 def _tiny_result(provider: DistanceProvider, rr: RadiusResult) -> DiameterResult:
     """n <= 2: the only pair is (0, n - 1), at distance 0 when n == 1."""
     last = provider.n - 1
-    value = float(provider.row(0).dist[last])
+    value = float(provider.row(0)[last])
     return _result(provider, rr, value, (0, last), [value])
 
 
@@ -112,14 +104,14 @@ def diameter_p2(
 
     d_l, pair = initial_lower_bound(rr.pivots, provider)
     trace = [d_l]
-    center_row = provider.row(rr.center).dist
+    center_row = provider.row(rr.center)
     # Superset of survivors under the initial bound; the bound only grows.
     candidates = np.flatnonzero(center_row > d_l / 2.0)
     scanned = 0
     for i in candidates.tolist():
         if center_row[i] <= d_l / 2.0:
             continue
-        row = provider.row(i).dist
+        row = provider.row(i)
         j = int(row.argmax())
         scanned += 1
         v = float(row[j])
@@ -146,10 +138,9 @@ def diameter_p1(
     if n <= 2:
         return _tiny_result(provider, rr)
 
-    center_row = provider.row(rr.center).dist
-    co = build_candidate_order(center_row)
-    order = co.order.tolist()
-    sd = co.sorted_dist.tolist()
+    center_row = provider.row(rr.center)
+    ids = build_candidate_order(center_row)
+    order, sd = ids.tolist(), center_row[ids].tolist()
 
     d_l, pair = initial_lower_bound(rr.pivots, provider)
     trace = [d_l]
@@ -159,7 +150,7 @@ def diameter_p1(
         if sd[i] + sd[i + 1] <= d_l:
             break
         k = order[i]
-        row = provider.row(k).dist
+        row = provider.row(k)
         l = int(row.argmax())
         scanned += 1
         v = float(row[l])

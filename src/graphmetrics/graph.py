@@ -127,9 +127,10 @@ def load_dimacs(path) -> Graph:
 
     Expects one `p sp n m` header, `a u v w` arc lines with 1-based vertex
     ids and non-negative (integer or decimal) weights, and `c` comments.
-    The reverse direction of each arc is added if absent.
+    The file must hold exactly m arc lines. The reverse direction of each
+    arc is added if absent.
     """
-    n = None
+    n = m = None
     us: list[int] = []
     vs: list[int] = []
     ws: list[float] = []
@@ -145,14 +146,15 @@ def load_dimacs(path) -> Graph:
                 if len(parts) != 4 or parts[1] != "sp":
                     raise DimacsParseError(f"line {lineno}: malformed header {line!r}")
                 try:
-                    n = int(parts[2])
-                    int(parts[3])
+                    n, m = int(parts[2]), int(parts[3])
                 except ValueError:
                     raise DimacsParseError(
                         f"line {lineno}: non-integer header fields {line!r}"
                     ) from None
                 if n < 1:
                     raise GraphValidationError(f"line {lineno}: vertex count must be >= 1")
+                if m < 0:
+                    raise DimacsParseError(f"line {lineno}: arc count must be >= 0, got {m}")
             elif parts[0] == "a":
                 if n is None:
                     raise DimacsParseError(f"line {lineno}: arc before 'p sp' header")
@@ -181,6 +183,8 @@ def load_dimacs(path) -> Graph:
                 )
     if n is None:
         raise DimacsParseError("missing 'p sp n m' header")
+    if len(us) != m:
+        raise DimacsParseError(f"header declares {m} arcs but the file has {len(us)} arc lines")
     return from_arcs(
         n,
         np.asarray(us, dtype=np.int64),

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .sssp import DistanceMatrix, sssp_vectorized
+from .sssp import DistanceMatrix, csr_lists, sssp, sssp_vectorized
 
 DEFAULT_MATRIX_CAP = 20_000  # n*n float64 beyond this is not desk-scale
 
@@ -21,7 +21,6 @@ class OracleMetrics:
     all_centers: list[int]
     diameter: float
     all_peripheral_pairs: list[tuple[int, int]]
-    matrix: DistanceMatrix
     elapsed: float  # seconds, scan only
 
 
@@ -33,7 +32,17 @@ def apsp_repeated_sssp(g: Graph) -> DistanceMatrix:
     """
     rows = np.empty((g.n, g.n))
     for i in range(g.n):
-        rows[i] = sssp_vectorized(g, i).dist
+        rows[i] = sssp_vectorized(g, i)
+    return DistanceMatrix(n=g.n, values=rows)
+
+
+def dijkstra_matrix(g: Graph) -> DistanceMatrix:
+    """All-pairs distances as one sssp run per vertex, on the fast kernel:
+    sparse graphs relax arc by arc over one list view built up front."""
+    lists = csr_lists(g)
+    rows = np.empty((g.n, g.n))
+    for i in range(g.n):
+        rows[i] = sssp(g, i, lists)
     return DistanceMatrix(n=g.n, values=rows)
 
 
@@ -95,7 +104,6 @@ def scan_metrics(M: DistanceMatrix) -> OracleMetrics:
         all_centers=centers,
         diameter=diameter,
         all_peripheral_pairs=pairs,
-        matrix=M,
         elapsed=elapsed,
     )
 
@@ -112,4 +120,4 @@ def build_matrix(g: Graph, baseline: str = "auto", max_n: int = DEFAULT_MATRIX_C
         raise MemoryError(f"distance matrix refused: n={g.n} exceeds cap {max_n}")
     if choose_baseline(g, baseline) == "floyd":
         return floyd_warshall(g, max_n=max_n)
-    return apsp_repeated_sssp(g)
+    return dijkstra_matrix(g)

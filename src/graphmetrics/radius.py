@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sssp import DistanceProvider, DistanceRow, eccentricity
+from .sssp import DistanceProvider, eccentricity
 
 FAR_PAIR_CAP = 64  # ties can make the far-pair walk cycle; any pair is sound
 
@@ -35,16 +35,16 @@ class PivotState:
     r_upper: float = math.inf
     best_center: int | None = None
 
-    def update_pivot_max(self, row: DistanceRow) -> None:
+    def update_pivot_max(self, pivot: int, row: np.ndarray) -> None:
         """Fold a new pivot's distance row into the per-vertex maxima."""
-        if row.source in self.pivots:
+        if pivot in self.pivots:
             return  # duplicate pivot adds no information
         if self.pivot_max is None:
-            self.pivot_max = row.dist.copy()
+            self.pivot_max = row.copy()
         else:
             # max(inf, x) == inf keeps examined entries pinned
-            np.maximum(self.pivot_max, row.dist, out=self.pivot_max)
-        self.pivots.append(row.source)
+            np.maximum(self.pivot_max, row, out=self.pivot_max)
+        self.pivots.append(pivot)
 
     def mark_examined(self, v: int) -> None:
         if self.pivot_max[v] != math.inf:
@@ -111,8 +111,8 @@ def find_radius(provider: DistanceProvider) -> RadiusResult:
     n = provider.n
     p1, p2 = far_pair(provider)
     state = PivotState(n)
-    state.update_pivot_max(provider.row(p1))
-    state.update_pivot_max(provider.row(p2))
+    state.update_pivot_max(p1, provider.row(p1))
+    state.update_pivot_max(p2, provider.row(p2))
     trace: list[tuple[float, float]] = []
 
     while True:
@@ -129,7 +129,7 @@ def find_radius(provider: DistanceProvider) -> RadiusResult:
         trace.append((state.r_lower, state.r_upper))
         if state.r_lower >= state.r_upper:
             break
-        state.update_pivot_max(provider.row(far_v))
+        state.update_pivot_max(far_v, provider.row(far_v))
 
     return RadiusResult(
         radius=state.r_upper,

@@ -1,8 +1,10 @@
 """Single-source shortest paths and the distance-provider contract.
 
-The provider hides whether distance rows come from an on-demand Dijkstra run
-(Problem 1) or from a precomputed all-pairs matrix (Problem 2), and keeps
-usage statistics so searches can report how little of the graph they touched.
+A distance row is a plain float64 array of length n with row[source] == 0;
+its source is whatever the caller asked for. The provider hides whether rows
+come from an on-demand Dijkstra run (Problem 1) or from a precomputed
+all-pairs matrix (Problem 2), and keeps usage statistics so searches can
+report how little of the graph they touched.
 """
 from __future__ import annotations
 
@@ -23,13 +25,6 @@ class DisconnectedGraphError(RuntimeError):
         self.source = source
         self.vertex = vertex
         super().__init__(f"vertex {vertex} is unreachable from vertex {source}")
-
-
-class DistanceRow(NamedTuple):
-    """Shortest-path distances from one source; dist[source] == 0."""
-
-    source: int
-    dist: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -64,8 +59,10 @@ def csr_lists(g: Graph) -> CsrLists | None:
     return CsrLists(g.indptr.tolist(), g.indices.tolist(), g.weights.tolist())
 
 
-def sssp(g: Graph, source: int, lists: CsrLists | None = None) -> DistanceRow:
-    """Dijkstra with a binary heap (lazy deletion) over the CSR adjacency.
+def sssp(g: Graph, source: int, lists: CsrLists | None = None) -> np.ndarray:
+    """Distances from source to every vertex, as a float64 array with
+    row[source] == 0: Dijkstra with a binary heap (lazy deletion) over the
+    CSR adjacency.
 
     Sparse graphs relax arc by arc over `lists`, csr_lists(g); a caller that
     runs many searches on one graph passes the view in so that it is built
@@ -101,16 +98,16 @@ def sssp(g: Graph, source: int, lists: CsrLists | None = None) -> DistanceRow:
                 heappush(heap, (dv, v))
     if remaining:
         raise DisconnectedGraphError(source, done.index(False))
-    return DistanceRow(source, np.array(dist))
+    return np.array(dist)
 
 
-def sssp_vectorized(g: Graph, source: int) -> DistanceRow:
+def sssp_vectorized(g: Graph, source: int) -> np.ndarray:
     """Dijkstra with a binary heap (lazy deletion) over the CSR adjacency.
 
     Relaxation of each settled vertex's neighborhood is vectorized, which
     keeps dense graphs cheap without changing the produced distances. The
-    oracle's APSP runs this function, so it is the reference the arc-by-arc
-    relaxation in sssp is checked against.
+    oracle's apsp_repeated_sssp runs this function, so it is the reference
+    the arc-by-arc relaxation in sssp is checked against.
     """
     n = g.n
     if not 0 <= source < n:
@@ -141,23 +138,24 @@ def sssp_vectorized(g: Graph, source: int) -> DistanceRow:
                 heappush(heap, (dv, v))
     if remaining:
         raise DisconnectedGraphError(source, int(np.flatnonzero(~done)[0]))
-    return DistanceRow(source=source, dist=dist)
+    return dist
 
 
-def eccentricity(row: DistanceRow) -> tuple[float, int]:
+def eccentricity(row: np.ndarray) -> tuple[float, int]:
     """Max entry of the row and the smallest vertex id achieving it."""
-    argmax = int(row.dist.argmax())  # argmax returns the first (smallest) id
-    return float(row.dist[argmax]), argmax
+    argmax = int(row.argmax())  # argmax returns the first (smallest) id
+    return float(row[argmax]), argmax
 
 
 class DistanceProvider:
     """Unified row access for Problems 1 and 2 with access accounting.
 
-    On-demand mode computes rows by Dijkstra and caches them for the
-    provider's lifetime (no eviction), building the graph's list view for
-    sssp once, on the first miss; matrix-backed mode reads rows from a
-    precomputed DistanceMatrix. rows_accessed counts every row read,
-    sssp_count only rows actually computed.
+    row(source) returns the distance array from source. On-demand mode
+    computes rows by Dijkstra and caches them for the provider's lifetime
+    (no eviction), building the graph's list view for sssp once, on the
+    first miss; matrix-backed mode hands out views values[source] of a
+    precomputed DistanceMatrix, cached the same way. rows_accessed counts
+    every row read, sssp_count only rows actually computed.
     """
 
     def __init__(self, graph: Graph | None = None, matrix: DistanceMatrix | None = None):
@@ -165,7 +163,7 @@ class DistanceProvider:
             raise ValueError("provide exactly one of graph or matrix")
         self._graph = graph
         self._matrix = matrix
-        self._cache: dict[int, DistanceRow] = {}
+        self._cache: dict[int, np.ndarray] = {}
         self._lists: CsrLists | None = None  # stays None for dense graphs
         self.sssp_count = 0
         self.rows_accessed = 0
@@ -179,21 +177,16 @@ class DistanceProvider:
         return cls(matrix=matrix)
 
     @property
-    def mode(self) -> str:
-        return "on-demand" if self._matrix is None else "matrix-backed"
-
-    @property
     def n(self) -> int:
         return self._graph.n if self._graph is not None else self._matrix.n
 
-    def row(self, source: int) -> DistanceRow:
+    def row(self, source: int) -> np.ndarray:
         self.rows_accessed += 1
         cached = self._cache.get(source)
         if cached is not None:
             return cached
         if self._matrix is not None:
-            # positional: building the tuple by keyword costs more than the view
-            row = DistanceRow(source, self._matrix.values[source])
+            row = self._matrix.values[source]
         else:
             if self._lists is None:
                 self._lists = csr_lists(self._graph)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +121,20 @@ class TestMetricsCommand:
         assert "too large" in err
         assert "disconnected" not in err
 
+    def test_arc_count_mismatch_is_named(self, tmp_path, capsys):
+        p = tmp_path / "short.gr"
+        p.write_text("".join(PATH_FIXTURE.splitlines(keepends=True)[:5]))  # 4 of 6 arcs
+        assert main(["metrics", "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "declares 6 arcs but the file has 4" in err
+        assert "disconnected" not in err
+
+    def test_negative_arc_count_is_rejected(self, tmp_path, capsys):
+        p = tmp_path / "neg.gr"
+        p.write_text(PATH_FIXTURE.replace("p sp 4 6", "p sp 4 -3"))
+        assert main(["metrics", "--input", str(p)]) == 2
+        assert "arc count must be >= 0" in capsys.readouterr().err
+
     def test_memory_guard_on_p2(self, tmp_path, capsys):
         assert main(["metrics", "--gen", "sparse:30:seed=0", "--mode", "p2",
                      "--max-matrix-n", "10"]) == 2
@@ -204,3 +222,27 @@ def test_json_report_roundtrip(path_file, tmp_path):
     assert redumped == reports
     for r in reports:
         assert isinstance(r["radius" if r["algo"].startswith("R") else "diameter"], float)
+
+
+def test_commands_import_numpy_only():
+    """scipy more than doubles a numpy-only process's memory, so no command
+    may load it, not even indirectly."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "from graphmetrics.cli import main\n"
+        "for argv in (\n"
+        "    ['metrics', '--gen', 'sparse:30:seed=1', '--mode', 'p1'],\n"
+        "    ['metrics', '--gen', 'sparse:30:seed=1', '--mode', 'p2'],\n"
+        "    ['metrics', '--gen', 'complete:20:seed=1', '--mode', 'p2'],\n"
+        "    ['oracle', '--gen', 'sparse:30:seed=1'],\n"
+        "):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

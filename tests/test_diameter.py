@@ -48,14 +48,15 @@ class TestInitialLowerBound:
 
 class TestCandidateOrder:
     def test_sorted_with_id_tie_break(self):
-        order = build_candidate_order(np.array([1.0, 0.0, 1.0, 2.0]))
-        assert order.order.tolist() == [3, 0, 2, 1]
-        assert order.sorted_dist.tolist() == [2.0, 1.0, 1.0, 0.0]
+        center_dist = np.array([1.0, 0.0, 1.0, 2.0])
+        order = build_candidate_order(center_dist)
+        assert order.tolist() == [3, 0, 2, 1]
+        assert center_dist[order].tolist() == [2.0, 1.0, 1.0, 0.0]
 
     def test_pair_sums_non_increasing(self):
         rng = np.random.default_rng(8)
-        co = build_candidate_order(rng.uniform(0, 10, 40))
-        sd = co.sorted_dist
+        center_dist = rng.uniform(0, 10, 40)
+        sd = center_dist[build_candidate_order(center_dist)]
         for i in range(5):
             sums = sd[i] + sd[i + 1:]
             assert all(sums[k] >= sums[k + 1] for k in range(len(sums) - 1))

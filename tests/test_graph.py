@@ -80,6 +80,21 @@ class TestLoadDimacs:
         g = load_dimacs(p)
         assert g.m == 1
 
+    def test_arc_count_must_match_header(self, tmp_path):
+        p = write_gr(tmp_path, "p sp 4 6\na 1 2 1\na 2 1 1\na 2 3 1\na 3 2 1\n")
+        with pytest.raises(DimacsParseError, match="declares 6 arcs but the file has 4"):
+            load_dimacs(p)
+
+    def test_negative_arc_count(self, tmp_path):
+        p = write_gr(tmp_path, "p sp 4 -3\na 1 2 1\na 2 3 1\na 3 4 1\n")
+        with pytest.raises(DimacsParseError, match="line 1: arc count must be >= 0"):
+            load_dimacs(p)
+
+    def test_line_error_wins_over_arc_count(self, tmp_path):
+        p = write_gr(tmp_path, "p sp 3 5\na 1 2 1\na 2 x 1\n")
+        with pytest.raises(DimacsParseError, match="line 3"):
+            load_dimacs(p)
+
     def test_roundtrip_through_writer(self, tmp_path):
         g = generate(GraphSpec(kind="sparse", n=40, seed=3, target_edges=80))
         out = tmp_path / "round.gr"
@@ -87,6 +102,38 @@ class TestLoadDimacs:
         g2 = load_dimacs(out)
         assert g2.n == g.n and g2.m == g.m
         assert list(g2.edges()) == list(g.edges())
+
+
+def _weights(rng, kind, size):
+    if kind == "float":
+        return rng.uniform(0.0, 100.0, size)
+    if kind == "int":
+        return rng.integers(0, 1000, size).astype(np.float64)
+    if kind == "huge":  # every float from 2**53 up is an integer
+        return 2.0 ** rng.uniform(53.0, 1000.0, size)
+    return np.round(rng.uniform(0.0, 100.0, size), int(rng.integers(1, 4)))  # short decimals
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["complete", "sparse"]),
+    weights=st.sampled_from(["float", "int", "huge", "decimal"]),
+)
+def test_write_load_round_trip(tmp_path_factory, seed, kind, weights):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    shape = generate(GraphSpec(kind=kind, n=n, seed=seed,
+                               target_edges=2 * n if kind == "sparse" else None))
+    edges = [(u, v) for u, v, _ in shape.edges()]
+    w = _weights(rng, weights, len(edges))
+    g = build_graph(n, [(u, v, x) for (u, v), x in zip(edges, w.tolist())])
+    path = tmp_path_factory.mktemp("round") / "g.gr"
+    write_dimacs(g, path)
+    back = load_dimacs(path)
+    assert (back.n, back.m) == (g.n, g.m)
+    for name in ("indptr", "indices", "weights"):
+        assert getattr(back, name).tobytes() == getattr(g, name).tobytes()
 
 
 class TestFromArcs:

@@ -1,9 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from graphmetrics.graph import GraphSpec, generate
 from graphmetrics.oracle import (
     apsp_repeated_sssp,
+    build_matrix,
     choose_baseline,
     floyd_warshall,
     scan_diameter,
@@ -24,6 +27,27 @@ class TestApsp:
         M = apsp_repeated_sssp(g).values
         np.testing.assert_array_equal(M, M.T)
         assert np.diagonal(M).tolist() == [0.0] * 60
+
+
+class TestBuildMatrix:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("integer_weights", [False, True])
+    def test_sparse_build_runs_the_fast_kernel(self, monkeypatch, seed, integer_weights):
+        g = generate(GraphSpec(kind="sparse", n=60, seed=seed, target_edges=150,
+                               integer_weights=integer_weights))
+        expected = apsp_repeated_sssp(g).values.tobytes()
+
+        def refuse(g, source):
+            raise AssertionError("sssp_vectorized ran on a sparse graph")
+
+        for module in ("graphmetrics.sssp", "graphmetrics.oracle"):
+            monkeypatch.setattr(importlib.import_module(module), "sssp_vectorized", refuse)
+        assert build_matrix(g).values.tobytes() == expected
+
+    def test_dense_dijkstra_build_equals_reference(self):
+        g = generate(GraphSpec(kind="complete", n=70, seed=5))  # above the degree cut
+        expected = apsp_repeated_sssp(g).values.tobytes()
+        assert build_matrix(g, "dijkstra").values.tobytes() == expected
 
 
 class TestFloydWarshall:

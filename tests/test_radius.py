@@ -6,7 +6,7 @@ import pytest
 from graphmetrics.graph import GraphSpec, generate
 from graphmetrics.oracle import apsp_repeated_sssp, scan_metrics
 from graphmetrics.radius import PivotState, far_pair, find_radius
-from graphmetrics.sssp import DistanceProvider, DistanceRow, sssp
+from graphmetrics.sssp import DistanceProvider, sssp
 
 from conftest import build_graph
 
@@ -53,7 +53,7 @@ class TestPivotState:
     def _state_with_pivots(self, g, pivots):
         state = PivotState(g.n)
         for p in pivots:
-            state.update_pivot_max(sssp(g, p))
+            state.update_pivot_max(p, sssp(g, p))
         return state
 
     def test_select_candidate_path(self, path4):
@@ -79,18 +79,18 @@ class TestPivotState:
 
     def test_update_is_elementwise_max(self, path4):
         state = self._state_with_pivots(path4, [0, 3])
-        state.update_pivot_max(sssp(path4, 1))  # row [1,0,1,2]
+        state.update_pivot_max(1, sssp(path4, 1))  # row [1,0,1,2]
         assert state.pivot_max.tolist() == [3.0, 2.0, 2.0, 3.0]
 
     def test_first_row_becomes_pivot_max(self, path4):
         state = PivotState(4)
         row = sssp(path4, 2)
-        state.update_pivot_max(row)
-        assert state.pivot_max.tolist() == row.dist.tolist()
+        state.update_pivot_max(2, row)
+        assert state.pivot_max.tolist() == row.tolist()
 
     def test_duplicate_pivot_is_noop(self, path4):
         state = self._state_with_pivots(path4, [0])
-        state.update_pivot_max(sssp(path4, 0))
+        state.update_pivot_max(0, sssp(path4, 0))
         assert state.pivots == [0]
 
     def test_pivot_max_matches_brute_force(self):
@@ -99,7 +99,7 @@ class TestPivotState:
         pivots = [3, 17, 8, 25]
         state = PivotState(g.n)
         for p in pivots:
-            state.update_pivot_max(DistanceRow(p, M[p]))
+            state.update_pivot_max(p, M[p])
         state.mark_examined(5)  # examined entries are pinned at +inf
         expected = M[pivots].max(axis=0)
         expected[5] = math.inf

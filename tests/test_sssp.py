@@ -26,15 +26,15 @@ sssp_module = importlib.import_module("graphmetrics.sssp")
 
 class TestSssp:
     def test_path_distances(self, path3_weighted):
-        assert sssp(path3_weighted, 0).dist.tolist() == [0.0, 1.0, 3.0]
+        assert sssp(path3_weighted, 0).tolist() == [0.0, 1.0, 3.0]
 
     def test_star_from_leaf(self, star4):
-        assert sssp(star4, 1).dist.tolist() == [1.0, 0.0, 2.0, 2.0]
+        assert sssp(star4, 1).tolist() == [1.0, 0.0, 2.0, 2.0]
 
     def test_matches_floyd_warshall_row(self):
         g = generate(GraphSpec(kind="sparse", n=50, seed=11, target_edges=120))
         fw = floyd_warshall(g)
-        row = sssp(g, 17).dist
+        row = sssp(g, 17)
         np.testing.assert_allclose(row, fw.values[17], rtol=1e-9)
 
     def test_disconnected_raises(self):
@@ -44,7 +44,7 @@ class TestSssp:
         assert exc.value.vertex == 2
 
     def test_single_vertex(self):
-        assert sssp(build_graph(1, []), 0).dist.tolist() == [0.0]
+        assert sssp(build_graph(1, []), 0).tolist() == [0.0]
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32))
@@ -53,13 +53,13 @@ class TestSssp:
         n = int(rng.integers(5, 200))
         g = generate(GraphSpec(kind="sparse", n=n, seed=seed, target_edges=3 * n))
         s, t = int(rng.integers(0, n)), int(rng.integers(0, n))
-        assert sssp(g, s).dist[t] == pytest.approx(sssp(g, t).dist[s], rel=1e-12)
+        assert sssp(g, s)[t] == pytest.approx(sssp(g, t)[s], rel=1e-12)
 
 
 def _outcome(search, g, source):
     """A row's bytes, or the vertex a DisconnectedGraphError names."""
     try:
-        return search(g, source).dist.tobytes()
+        return search(g, source).tobytes()
     except DisconnectedGraphError as exc:
         return ("unreachable", exc.source, exc.vertex)
 
@@ -167,11 +167,11 @@ class TestDistanceProvider:
         M = apsp_repeated_sssp(path4)
         on_demand = DistanceProvider.on_demand(path4)
         backed = DistanceProvider.from_matrix(M)
-        assert np.array_equal(on_demand.row(2).dist, backed.row(2).dist)
+        assert np.array_equal(on_demand.row(2), backed.row(2))
 
     def test_rows_identical_to_fresh_sssp(self, star4):
         p = DistanceProvider.on_demand(star4)
-        assert np.array_equal(p.row(1).dist, sssp(star4, 1).dist)
+        assert np.array_equal(p.row(1), sssp(star4, 1))
 
     def test_on_demand_builds_the_list_view_once(self, monkeypatch):
         g = generate(GraphSpec(kind="sparse", n=40, seed=3, target_edges=100))
@@ -184,7 +184,7 @@ class TestDistanceProvider:
         monkeypatch.setattr(sssp_module, "csr_lists", counting_csr_lists)
         p = DistanceProvider.on_demand(g)
         for s in range(g.n):
-            assert p.row(s).dist.tobytes() == sssp_vectorized(g, s).dist.tobytes()
+            assert p.row(s).tobytes() == sssp_vectorized(g, s).tobytes()
         assert p.sssp_count == g.n
         assert len(built) == 1 and built[0] is g
 
