@@ -3,6 +3,7 @@ graph generation.
 
 Generator specs are strings of the form `kind:n[:m][:key=value...]`, e.g.
 `complete:1000:seed=1` or `sparse:100:150:seed=7:wlo=1:whi=10:int=1`.
+Reports give DIMACS vertex ids: vertex u of the graph is reported as u + 1.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from .graph import (
     GraphValidationError,
     generate,
     load_dimacs,
-    unreachable_from,
     write_dimacs,
 )
 from .oracle import (
@@ -81,18 +81,14 @@ def parse_gen_spec(text: str) -> GraphSpec:
 def _load(source: str, value: str) -> tuple[Graph, str, int | None]:
     """Read a DIMACS file (source "path") or generate a spec ("gen").
 
-    Returns the graph, its report name and its generator seed. Raises
-    DisconnectedGraphError when vertex 0 cannot reach every vertex.
+    Returns the graph, its report name and its generator seed. A disconnected
+    graph is found later, by the first SSSP or matrix build, which raises
+    DisconnectedGraphError.
     """
     if source == "path":
-        g, name, seed = load_dimacs(value), os.path.basename(value), None
-    else:
-        spec = parse_gen_spec(value)
-        g, name, seed = generate(spec), value, spec.seed
-    bad = unreachable_from(g)
-    if bad is not None:
-        raise DisconnectedGraphError(0, bad)
-    return g, name, seed
+        return load_dimacs(value), os.path.basename(value), None
+    spec = parse_gen_spec(value)
+    return generate(spec), value, spec.seed
 
 
 def _ms(seconds: float) -> float:
@@ -111,14 +107,13 @@ def run_metrics(
     seed: int | None,
     mode: str,
     target: str,
-    baseline: str = "auto",
     max_matrix_n: int = DEFAULT_MATRIX_CAP,
 ) -> list[RunReport]:
     """Run the fast searches; one report per algorithm executed."""
     reports: list[RunReport] = []
     matrix_build_ms = None
     if mode == "p2":
-        matrix, build_s = _timed(build_matrix, g, baseline, max_matrix_n)
+        matrix, build_s = _timed(build_matrix, g, max_matrix_n)
         matrix_build_ms = _ms(build_s)
         provider = DistanceProvider.from_matrix(matrix)
     else:
@@ -134,7 +129,7 @@ def run_metrics(
 
     rr, radius_s = _timed(find_radius, provider)
     if target in ("radius", "both"):
-        reports.append(report("R", rr, radius_s, radius=rr.radius, center=g.report_id(rr.center)))
+        reports.append(report("R", rr, radius_s, radius=rr.radius, center=rr.center + 1))
     if target in ("diameter", "both"):
         if mode == "p2":
             dr, diameter_s = _timed(diameter_p2, matrix, rr, provider)
@@ -142,7 +137,7 @@ def run_metrics(
             dr, diameter_s = _timed(diameter_p1, g, rr, provider)
         reports.append(report(
             "D", dr, radius_s + diameter_s,
-            diameter=dr.diameter, pair=[g.report_id(v) for v in dr.peripheral_pair],
+            diameter=dr.diameter, pair=[v + 1 for v in dr.peripheral_pair],
         ))
     return reports
 
@@ -151,13 +146,11 @@ def run_oracle(
     g: Graph,
     name: str,
     seed: int | None,
-    baseline: str = "auto",
     max_matrix_n: int = DEFAULT_MATRIX_CAP,
 ):
-    which = choose_baseline(g, baseline)
-    matrix, build_s = _timed(build_matrix, g, which, max_matrix_n)
+    matrix, build_s = _timed(build_matrix, g, max_matrix_n)
     metrics = scan_metrics(matrix)
-    sssp_count = g.n if which == "dijkstra" else 0
+    sssp_count = g.n if choose_baseline(g) == "dijkstra" else 0
     common = dict(
         name=name,
         n=g.n,
@@ -171,7 +164,7 @@ def run_oracle(
         RunReport(
             algo="RC1",
             radius=metrics.radius,
-            center=g.report_id(metrics.all_centers[0]),
+            center=metrics.all_centers[0] + 1,
             elapsed_ms=_ms(build_s + metrics.elapsed),
             **common,
         ),
@@ -179,7 +172,7 @@ def run_oracle(
             algo="DC1",
             diameter=metrics.diameter,
             pair=[
-                g.report_id(v)
+                v + 1
                 for v in (metrics.all_peripheral_pairs[0] if metrics.all_peripheral_pairs else (0, 0))
             ],
             elapsed_ms=_ms(build_s + metrics.elapsed),
@@ -190,7 +183,7 @@ def run_oracle(
 
 
 def _bench_input(
-    g: Graph, name: str, repeats: int, mode: str, baseline: str, max_matrix_n: int
+    g: Graph, name: str, repeats: int, mode: str, max_matrix_n: int
 ) -> list[BenchRow]:
     """Mean times of the full scans (RC, DC) and the pivot searches (R, D).
 
@@ -199,7 +192,7 @@ def _bench_input(
     p2 builds the matrix once, untimed, and warms up before timing.
     """
     p2 = mode == "p2"
-    matrix = build_matrix(g, baseline=baseline, max_n=max_matrix_n) if p2 else None
+    matrix = build_matrix(g, max_matrix_n) if p2 else None
 
     def fresh() -> DistanceProvider:
         return DistanceProvider.from_matrix(matrix) if p2 else DistanceProvider.on_demand(g)
@@ -247,7 +240,6 @@ def run_bench(
     inputs: list[tuple[str, str]],
     repeats: int,
     mode: str,
-    baseline: str = "auto",
     max_matrix_n: int = DEFAULT_MATRIX_CAP,
 ) -> list[BenchRow]:
     """inputs: list of ("path"|"gen", value); failures land in the errors column."""
@@ -256,7 +248,7 @@ def run_bench(
         name = os.path.basename(value) if source == "path" else value  # for failed loads too
         try:
             g, _, _ = _load(source, value)
-            rows.extend(_bench_input(g, name, repeats, mode, baseline, max_matrix_n))
+            rows.extend(_bench_input(g, name, repeats, mode, max_matrix_n))
         except (DimacsParseError, GraphValidationError, DisconnectedGraphError,
                 MemoryError, OSError) as exc:
             rows.append(BenchRow(name=name, errors=str(exc)))
@@ -290,7 +282,6 @@ def _add_input_args(p: argparse.ArgumentParser, repeatable: bool = False) -> Non
 
 
 def _add_matrix_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--baseline", choices=["auto", "dijkstra", "floyd"], default="auto")
     p.add_argument("--max-matrix-n", type=int, default=DEFAULT_MATRIX_CAP)
 
 
@@ -334,18 +325,17 @@ def main(argv: list[str] | None = None) -> int:
             write_dimacs(g, args.output)
             print(f"wrote {args.output}: n={g.n} m={g.m} (arcs={2 * g.m})")
             return 0
-        matrix_args = dict(baseline=args.baseline, max_matrix_n=args.max_matrix_n)
         if args.command in ("metrics", "oracle"):
             g, name, seed = _load("path", args.input) if args.input else _load("gen", args.gen)
             summary = None
             if args.command == "metrics":
-                reports = run_metrics(g, name, seed, args.mode, args.target, **matrix_args)
+                reports = run_metrics(g, name, seed, args.mode, args.target, args.max_matrix_n)
             else:
-                metrics, reports = run_oracle(g, name, seed, **matrix_args)
+                metrics, reports = run_oracle(g, name, seed, args.max_matrix_n)
                 summary = (
-                    f"centers: {[g.report_id(c) for c in metrics.all_centers]}  "
+                    f"centers: {[c + 1 for c in metrics.all_centers]}  "
                     f"peripheral pairs: "
-                    f"{[(g.report_id(a), g.report_id(b)) for a, b in metrics.all_peripheral_pairs]}"
+                    f"{[(a + 1, b + 1) for a, b in metrics.all_peripheral_pairs]}"
                 )
             _print_reports(reports)
             if summary:
@@ -361,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.repeats < 1:
                 print(f"bench: --repeats must be at least 1, got {args.repeats}", file=sys.stderr)
                 return 2
-            rows = run_bench(inputs, args.repeats, args.mode, **matrix_args)
+            rows = run_bench(inputs, args.repeats, args.mode, args.max_matrix_n)
             if args.csv:
                 with open(args.csv, "w", encoding="utf-8", newline="") as fh:
                     write_bench_csv(rows, fh)

@@ -7,6 +7,12 @@ rule out. The matrix-backed variant scans every vertex farther than half the
 bound from the center. The on-demand variant visits vertices in descending
 center distance (iFUB order) and stops at the first position where the two
 largest remaining center distances sum to no more than the bound.
+
+Both report the peripheral pair (k, l) with the distance d(k, l) read from
+row k. With float weights the same shortest path summed from l can differ by
+one ulp, so an all-pairs oracle whose maximum takes the pair from the other
+end may differ from the reported diameter in the last bit. Integer weights
+sum exactly, and the two agree.
 """
 from __future__ import annotations
 

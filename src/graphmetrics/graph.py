@@ -1,13 +1,14 @@
 """Weighted undirected graph container, DIMACS .gr I/O and seeded generators.
 
-Graphs are stored in CSR form (indptr/indices/weights) with internal 0-based
-vertex ids. The original (1-based DIMACS) ids are kept alongside so reports
-can echo input ids.
+Graphs are stored in CSR form (indptr/indices/weights) with 0-based vertex
+ids: DIMACS vertex u + 1 is vertex u here, and the CLI reports vertex u as
+u + 1. Whether a graph is connected is found by the first shortest-path run
+from vertex 0; check_connected answers the same question on its own.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +36,6 @@ class Graph:
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
-    original_ids: np.ndarray  # internal id -> reported id (1-based for DIMACS)
 
     def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor ids and edge weights of vertex u, as array views."""
@@ -46,25 +46,8 @@ class Graph:
     def average_degree(self) -> float:
         return 2.0 * self.m / self.n if self.n else 0.0
 
-    def edges(self):
-        """Yield each undirected edge once as (u, v, w) with u < v."""
-        for u in range(self.n):
-            nbrs, ws = self.neighbors(u)
-            for v, w in zip(nbrs.tolist(), ws.tolist()):
-                if u < v:
-                    yield u, v, w
 
-    def report_id(self, u: int) -> int:
-        return int(self.original_ids[u])
-
-
-def from_arcs(
-    n: int,
-    u: np.ndarray,
-    v: np.ndarray,
-    w: np.ndarray,
-    original_ids: np.ndarray | None = None,
-) -> Graph:
+def from_arcs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
     """Build a Graph from directed arc arrays.
 
     Both directions of every arc are materialized, self-loops removed and
@@ -110,16 +93,7 @@ def from_arcs(
     indices, weights = vv.copy(), ww.copy()
     for a in (indptr, indices, weights):
         a.flags.writeable = False  # shared by searches and copied into list views
-    if original_ids is None:
-        original_ids = np.arange(1, n + 1, dtype=np.int64)
-    return Graph(
-        n=n,
-        m=uu.size // 2,
-        indptr=indptr,
-        indices=indices,
-        weights=weights,
-        original_ids=np.asarray(original_ids, dtype=np.int64),
-    )
+    return Graph(n=n, m=uu.size // 2, indptr=indptr, indices=indices, weights=weights)
 
 
 def load_dimacs(path) -> Graph:
@@ -128,59 +102,71 @@ def load_dimacs(path) -> Graph:
     Expects one `p sp n m` header, `a u v w` arc lines with 1-based vertex
     ids and non-negative (integer or decimal) weights, and `c` comments.
     The file must hold exactly m arc lines. The reverse direction of each
-    arc is added if absent.
+    arc is added if absent. The text is UTF-8: a byte that is not is ignored
+    in a comment and a DimacsParseError naming its line anywhere else.
     """
     n = m = None
     us: list[int] = []
     vs: list[int] = []
     ws: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            parts = line.split()
-            if parts[0] == "p":
-                if n is not None:
-                    raise DimacsParseError(f"line {lineno}: duplicate problem line")
-                if len(parts) != 4 or parts[1] != "sp":
-                    raise DimacsParseError(f"line {lineno}: malformed header {line!r}")
-                try:
-                    n, m = int(parts[2]), int(parts[3])
-                except ValueError:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("c"):
+                    continue
+                parts = line.split()
+                if parts[0] == "p":
+                    if n is not None:
+                        raise DimacsParseError(f"line {lineno}: duplicate problem line")
+                    if len(parts) != 4 or parts[1] != "sp":
+                        raise DimacsParseError(f"line {lineno}: malformed header {line!r}")
+                    try:
+                        n, m = int(parts[2]), int(parts[3])
+                    except ValueError:
+                        raise DimacsParseError(
+                            f"line {lineno}: non-integer header fields {line!r}"
+                        ) from None
+                    if n < 1:
+                        raise GraphValidationError(f"line {lineno}: vertex count must be >= 1")
+                    if m < 0:
+                        raise DimacsParseError(f"line {lineno}: arc count must be >= 0, got {m}")
+                elif parts[0] == "a":
+                    if n is None:
+                        raise DimacsParseError(f"line {lineno}: arc before 'p sp' header")
+                    if len(parts) != 4:
+                        raise DimacsParseError(f"line {lineno}: malformed arc {line!r}")
+                    try:
+                        a, b = int(parts[1]), int(parts[2])
+                        weight = float(parts[3])
+                    except ValueError:
+                        raise DimacsParseError(
+                            f"line {lineno}: non-numeric arc fields {line!r}"
+                        ) from None
+                    if not (1 <= a <= n and 1 <= b <= n):
+                        raise GraphValidationError(
+                            f"line {lineno}: vertex id out of range [1, {n}]"
+                        )
+                    if not 0.0 <= weight < math.inf:  # also catches nan
+                        kind = "negative" if weight < 0 else "non-finite"
+                        raise GraphValidationError(f"line {lineno}: {kind} weight {weight}")
+                    us.append(a - 1)
+                    vs.append(b - 1)
+                    ws.append(weight)
+                else:
                     raise DimacsParseError(
-                        f"line {lineno}: non-integer header fields {line!r}"
-                    ) from None
-                if n < 1:
-                    raise GraphValidationError(f"line {lineno}: vertex count must be >= 1")
-                if m < 0:
-                    raise DimacsParseError(f"line {lineno}: arc count must be >= 0, got {m}")
-            elif parts[0] == "a":
-                if n is None:
-                    raise DimacsParseError(f"line {lineno}: arc before 'p sp' header")
-                if len(parts) != 4:
-                    raise DimacsParseError(f"line {lineno}: malformed arc {line!r}")
-                try:
-                    a, b = int(parts[1]), int(parts[2])
-                    weight = float(parts[3])
-                except ValueError:
-                    raise DimacsParseError(
-                        f"line {lineno}: non-numeric arc fields {line!r}"
-                    ) from None
-                if not (1 <= a <= n and 1 <= b <= n):
-                    raise GraphValidationError(
-                        f"line {lineno}: vertex id out of range [1, {n}]"
+                        f"line {lineno}: unknown line type {parts[0]!r}"
                     )
-                if not 0.0 <= weight < math.inf:  # also catches nan
-                    kind = "negative" if weight < 0 else "non-finite"
-                    raise GraphValidationError(f"line {lineno}: {kind} weight {weight}")
-                us.append(a - 1)
-                vs.append(b - 1)
-                ws.append(weight)
-            else:
+        except DimacsParseError:
+            # surrogateescape reads a byte that is not UTF-8 as a lone
+            # surrogate, which no field accepts: only data lines holding one
+            # end up here, and the byte is the fault to report.
+            bad = [c for c in line if "\udc80" <= c <= "\udcff"]
+            if bad:
                 raise DimacsParseError(
-                    f"line {lineno}: unknown line type {parts[0]!r}"
-                )
+                    f"line {lineno}: byte 0x{ord(bad[0]) - 0xDC00:02x} is not UTF-8 text"
+                ) from None
+            raise
     if n is None:
         raise DimacsParseError("missing 'p sp n m' header")
     if len(us) != m:
@@ -227,6 +213,12 @@ class GraphSpec:
         lo, hi = self.weight_range
         if lo < 0 or lo > hi:
             raise GraphValidationError("weight range needs 0 <= lo <= hi")
+        if not (math.isfinite(lo) and math.isfinite(hi)):  # nan passes the check above
+            raise GraphValidationError(f"weight range [{lo}, {hi}] needs finite bounds")
+        if self.integer_weights and int(hi) + 1 > np.iinfo(np.int64).max:
+            raise GraphValidationError(
+                f"integer weight range [{lo}, {hi}] needs int(hi) + 1 within int64"
+            )
         if self.kind == "sparse":
             target = self.target_edges if self.target_edges is not None else 2 * self.n
             if target < self.n - 1:
@@ -277,22 +269,20 @@ def generate(spec: GraphSpec) -> Graph:
     return from_arcs(n, u, v, w)
 
 
-def unreachable_from(g: Graph, source: int = 0) -> int | None:
-    """Smallest vertex id not reachable from source, or None if connected."""
+def check_connected(g: Graph) -> bool:
+    """True iff a traversal from vertex 0 reaches every vertex.
+
+    The searches need no separate check: the first sssp from vertex 0 (or
+    floyd_warshall) raises DisconnectedGraphError naming the smallest
+    unreachable vertex.
+    """
     seen = np.zeros(g.n, dtype=bool)
-    seen[source] = True
-    stack = [source]
+    seen[0] = True
+    stack = [0]
     while stack:
         u = stack.pop()
         nbrs = g.indices[g.indptr[u]:g.indptr[u + 1]]
         for v in nbrs[~seen[nbrs]].tolist():
             seen[v] = True
             stack.append(v)
-    if seen.all():
-        return None
-    return int(np.flatnonzero(~seen)[0])
-
-
-def check_connected(g: Graph) -> bool:
-    """True iff a traversal from vertex 0 reaches every vertex."""
-    return unreachable_from(g) is None
+    return bool(seen.all())

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .sssp import DistanceMatrix, csr_lists, sssp, sssp_vectorized
+from .sssp import DisconnectedGraphError, DistanceMatrix, csr_lists, sssp, sssp_vectorized
 
 DEFAULT_MATRIX_CAP = 20_000  # n*n float64 beyond this is not desk-scale
 
@@ -47,7 +47,11 @@ def dijkstra_matrix(g: Graph) -> DistanceMatrix:
 
 
 def floyd_warshall(g: Graph, max_n: int = DEFAULT_MATRIX_CAP) -> DistanceMatrix:
-    """Classic triple-loop APSP, vectorized over the inner two indices."""
+    """Classic triple-loop APSP, vectorized over the inner two indices.
+
+    A disconnected graph raises DisconnectedGraphError naming the smallest
+    vertex unreachable from vertex 0, as sssp from vertex 0 does.
+    """
     n = g.n
     if n > max_n:
         raise MemoryError(f"floyd_warshall refused: n={n} exceeds cap {max_n}")
@@ -59,8 +63,7 @@ def floyd_warshall(g: Graph, max_n: int = DEFAULT_MATRIX_CAP) -> DistanceMatrix:
     for k in range(n):
         np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
     if np.isinf(D).any():
-        bad = int(np.flatnonzero(np.isinf(D[0]))[0])
-        raise ValueError(f"graph is disconnected: vertex {bad} unreachable from 0")
+        raise DisconnectedGraphError(0, int(np.flatnonzero(np.isinf(D[0]))[0]))
     return DistanceMatrix(n=n, values=D)
 
 
@@ -108,16 +111,15 @@ def scan_metrics(M: DistanceMatrix) -> OracleMetrics:
     )
 
 
-def choose_baseline(g: Graph, which: str = "auto") -> str:
-    """Pick the APSP baseline: Floyd-Warshall for dense, Dijkstra for sparse."""
-    if which in ("dijkstra", "floyd"):
-        return which
+def choose_baseline(g: Graph) -> str:
+    """The APSP builder: "floyd" when the average degree is above n/4, else "dijkstra"."""
     return "floyd" if g.average_degree > g.n / 4.0 else "dijkstra"
 
 
-def build_matrix(g: Graph, baseline: str = "auto", max_n: int = DEFAULT_MATRIX_CAP) -> DistanceMatrix:
+def build_matrix(g: Graph, max_n: int = DEFAULT_MATRIX_CAP) -> DistanceMatrix:
+    """All-pairs distances from the builder choose_baseline picks."""
     if g.n > max_n:
         raise MemoryError(f"distance matrix refused: n={g.n} exceeds cap {max_n}")
-    if choose_baseline(g, baseline) == "floyd":
+    if choose_baseline(g) == "floyd":
         return floyd_warshall(g, max_n=max_n)
     return dijkstra_matrix(g)

@@ -9,6 +9,7 @@ import pytest
 
 from graphmetrics.cli import main, parse_gen_spec
 from graphmetrics.graph import GraphValidationError, load_dimacs
+from graphmetrics.oracle import choose_baseline
 
 PATH_FIXTURE = (
     "p sp 4 6\n"
@@ -18,6 +19,12 @@ PATH_FIXTURE = (
 )
 
 DISCONNECTED_FIXTURE = "p sp 4 2\na 1 2 1\na 3 4 1\n"
+
+# Two disjoint triangles: average degree 2 > n/4, so p2 builds by Floyd-Warshall.
+TWO_TRIANGLES = "p sp 6 6\na 1 2 1\na 2 3 1\na 1 3 1\na 4 5 1\na 5 6 1\na 4 6 1\n"
+
+# (file text, matrix builder it gets, internal id of the smallest vertex 0 cannot reach)
+DISCONNECTED_INPUTS = [(DISCONNECTED_FIXTURE, "dijkstra", 2), (TWO_TRIANGLES, "floyd", 3)]
 
 
 @pytest.fixture
@@ -58,6 +65,18 @@ class TestGenSpecParsing:
     def test_non_numeric_field_is_named(self, capsys, text, field):
         assert main(["metrics", "--gen", text]) == 2
         assert f"bad {field} in generator spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, weight_range", [
+        ("complete:5:whi=1e30:int=1", "[0.0, 1e+30]"),
+        ("complete:5:whi=inf:int=1", "[0.0, inf]"),
+        ("complete:5:whi=nan", "[0.0, nan]"),
+        ("complete:5:wlo=nan", "[nan, 100.0]"),
+    ])
+    def test_undrawable_weight_range_is_named(self, capsys, text, weight_range):
+        with pytest.raises(GraphValidationError):
+            parse_gen_spec(text)
+        assert main(["metrics", "--gen", text]) == 2
+        assert f"weight range {weight_range} needs" in capsys.readouterr().err
 
 
 class TestMetricsCommand:
@@ -135,6 +154,18 @@ class TestMetricsCommand:
         assert main(["metrics", "--input", str(p)]) == 2
         assert "arc count must be >= 0" in capsys.readouterr().err
 
+    def test_byte_not_utf8_in_data_line_is_named(self, tmp_path, capsys):
+        p = tmp_path / "bad.gr"
+        p.write_bytes(b"p sp 2 1\na 1 2 \xff\n")
+        assert main(["metrics", "--input", str(p)]) == 2
+        assert capsys.readouterr().err == "error: line 2: byte 0xff is not UTF-8 text\n"
+
+    def test_byte_not_utf8_in_comment_is_ignored(self, tmp_path, capsys):
+        p = tmp_path / "latin1.gr"
+        p.write_bytes(b"c caf\xe9\n" + PATH_FIXTURE.encode())
+        assert main(["metrics", "--input", str(p)]) == 0
+        assert "radius=2 center=2" in capsys.readouterr().out
+
     def test_memory_guard_on_p2(self, tmp_path, capsys):
         assert main(["metrics", "--gen", "sparse:30:seed=0", "--mode", "p2",
                      "--max-matrix-n", "10"]) == 2
@@ -185,6 +216,17 @@ class TestBenchCommand:
         assert [r["algo"] for r in rows] == ["RC2", "R2", "DC2", "D2"]
         assert float(rows[1]["value"]) == float(rows[0]["value"])
 
+    def test_byte_not_utf8_recorded_per_input(self, tmp_path):
+        bad = tmp_path / "bad.gr"
+        bad.write_bytes(b"p sp 2 1\na 1 2 \xff\n")
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--input", str(bad), "--gen", "complete:10:seed=0",
+                     "--csv", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["errors"] == "line 2: byte 0xff is not UTF-8 text"
+        assert [r["algo"] for r in rows[1:]] == ["RC1", "R1", "DC1", "D1"]
+
     def test_failures_recorded_per_input(self, tmp_path):
         missing = str(tmp_path / "nope.gr")
         out = tmp_path / "bench.csv"
@@ -202,6 +244,36 @@ class TestBenchCommand:
     def test_repeats_below_one_is_an_error(self, capsys):
         assert main(["bench", "--gen", "complete:5:seed=0", "--repeats", "0"]) == 2
         assert "--repeats" in capsys.readouterr().err
+
+
+class TestDisconnected:
+    """Each command reports a disconnected graph the same way, whichever SSSP
+    or matrix build meets it first: the smallest internal id vertex 0 cannot
+    reach, exit 2 and no output."""
+
+    @pytest.mark.parametrize("text, builder, vertex", DISCONNECTED_INPUTS)
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--mode", "p1"], ["metrics", "--mode", "p2"], ["oracle"],
+    ])
+    def test_named_on_stderr(self, tmp_path, capsys, argv, text, builder, vertex):
+        p = tmp_path / "split.gr"
+        p.write_text(text)
+        assert choose_baseline(load_dimacs(p)) == builder
+        assert main(argv + ["--input", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: graph is disconnected; vertex {vertex} is unreachable from vertex 0\n"
+
+    @pytest.mark.parametrize("text, builder, vertex", DISCONNECTED_INPUTS)
+    @pytest.mark.parametrize("mode", ["p1", "p2"])
+    def test_named_in_bench_errors(self, tmp_path, mode, text, builder, vertex):
+        p = tmp_path / "split.gr"
+        p.write_text(text)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--input", str(p), "--mode", mode, "--csv", str(out)]) == 0
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["errors"] == f"vertex {vertex} is unreachable from vertex 0"
 
 
 class TestGenCommand:

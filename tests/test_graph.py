@@ -10,7 +10,6 @@ from graphmetrics.graph import (
     check_connected,
     generate,
     load_dimacs,
-    unreachable_from,
     write_dimacs,
 )
 
@@ -21,6 +20,13 @@ def write_gr(tmp_path, text, name="g.gr"):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+def edge_list(g):
+    """Each undirected edge once as (u, v, w) with u < v, read from the CSR arrays."""
+    u = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    keep = u < g.indices
+    return list(zip(u[keep].tolist(), g.indices[keep].tolist(), g.weights[keep].tolist()))
 
 
 class TestLoadDimacs:
@@ -37,13 +43,13 @@ class TestLoadDimacs:
         g = load_dimacs(p)
         assert g.n == 3
         assert g.m == 2
-        assert list(g.edges()) == [(0, 1, 5.0), (1, 2, 7.0)]
+        assert edge_list(g) == [(0, 1, 5.0), (1, 2, 7.0)]
 
     def test_parallel_arcs_collapse_to_min(self, tmp_path):
         p = write_gr(tmp_path, "p sp 2 2\na 1 2 5\na 1 2 3\n")
         g = load_dimacs(p)
         assert g.m == 1
-        assert list(g.edges()) == [(0, 1, 3.0)]
+        assert edge_list(g) == [(0, 1, 3.0)]
 
     def test_missing_reverse_direction_added(self, tmp_path):
         p = write_gr(tmp_path, "p sp 2 1\na 1 2 4\n")
@@ -73,7 +79,7 @@ class TestLoadDimacs:
 
     def test_decimal_weights_accepted(self, tmp_path):
         p = write_gr(tmp_path, "p sp 2 1\na 1 2 2.5\n")
-        assert list(load_dimacs(p).edges()) == [(0, 1, 2.5)]
+        assert edge_list(load_dimacs(p)) == [(0, 1, 2.5)]
 
     def test_self_loops_dropped(self, tmp_path):
         p = write_gr(tmp_path, "p sp 2 2\na 1 1 9\na 1 2 1\n")
@@ -90,6 +96,23 @@ class TestLoadDimacs:
         with pytest.raises(DimacsParseError, match="line 1: arc count must be >= 0"):
             load_dimacs(p)
 
+    def test_byte_not_utf8_in_comment_ignored(self, tmp_path):
+        p = tmp_path / "g.gr"
+        p.write_bytes(b"c caf\xe9 \xff\np sp 2 1\na 1 2 4\n")
+        assert edge_list(load_dimacs(p)) == [(0, 1, 4.0)]
+
+    @pytest.mark.parametrize("data, where", [
+        (b"p sp 2 1\na 1 2 \xff\n", "line 2: byte 0xff"),
+        (b"p sp 2 1\na 1 2 4\xe9\n", "line 2: byte 0xe9"),
+        (b"p sp 2 \xb91\na 1 2 4\n", "line 1: byte 0xb9"),
+        (b"p sp 2 1\n\xffa 1 2 4\n", "line 2: byte 0xff"),
+    ], ids=["arc-field", "arc-field-tail", "header-field", "line-type"])
+    def test_byte_not_utf8_in_data_line_named(self, tmp_path, data, where):
+        p = tmp_path / "g.gr"
+        p.write_bytes(data)
+        with pytest.raises(DimacsParseError, match=f"{where} is not UTF-8 text"):
+            load_dimacs(p)
+
     def test_line_error_wins_over_arc_count(self, tmp_path):
         p = write_gr(tmp_path, "p sp 3 5\na 1 2 1\na 2 x 1\n")
         with pytest.raises(DimacsParseError, match="line 3"):
@@ -101,7 +124,7 @@ class TestLoadDimacs:
         write_dimacs(g, out)
         g2 = load_dimacs(out)
         assert g2.n == g.n and g2.m == g.m
-        assert list(g2.edges()) == list(g.edges())
+        assert edge_list(g2) == edge_list(g)
 
 
 def _weights(rng, kind, size):
@@ -125,7 +148,7 @@ def test_write_load_round_trip(tmp_path_factory, seed, kind, weights):
     n = int(rng.integers(2, 30))
     shape = generate(GraphSpec(kind=kind, n=n, seed=seed,
                                target_edges=2 * n if kind == "sparse" else None))
-    edges = [(u, v) for u, v, _ in shape.edges()]
+    edges = [(u, v) for u, v, _ in edge_list(shape)]
     w = _weights(rng, weights, len(edges))
     g = build_graph(n, [(u, v, x) for (u, v), x in zip(edges, w.tolist())])
     path = tmp_path_factory.mktemp("round") / "g.gr"
@@ -186,6 +209,23 @@ class TestGenerate:
         with pytest.raises(GraphValidationError):
             GraphSpec(kind="wheel", n=5)
 
+    @pytest.mark.parametrize("weight_range, integer_weights", [
+        ((0.0, float("nan")), False),
+        ((float("nan"), 1.0), False),
+        ((0.0, float("inf")), False),
+        ((0.0, 1e30), True),
+        ((0.0, float(2**63)), True),
+    ])
+    def test_weight_range_must_be_drawable(self, weight_range, integer_weights):
+        with pytest.raises(GraphValidationError, match="weight range"):
+            GraphSpec(kind="complete", n=5, weight_range=weight_range,
+                      integer_weights=integer_weights)
+
+    def test_widest_integer_range_generates(self):
+        hi = float(2**63 - 1024)  # int(hi) + 1 still fits in int64
+        g = generate(GraphSpec(kind="complete", n=5, weight_range=(0.0, hi), integer_weights=True))
+        assert g.m == 10 and g.weights.max() <= hi
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), n=st.integers(2, 60))
     def test_generate_is_pure(self, seed, n):
@@ -216,7 +256,3 @@ class TestConnectivity:
 
     def test_single_vertex(self):
         assert check_connected(build_graph(1, []))
-
-    def test_unreachable_vertex_named(self):
-        g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        assert unreachable_from(g) == 2

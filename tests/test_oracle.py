@@ -8,11 +8,13 @@ from graphmetrics.oracle import (
     apsp_repeated_sssp,
     build_matrix,
     choose_baseline,
+    dijkstra_matrix,
     floyd_warshall,
     scan_diameter,
     scan_metrics,
     scan_radius,
 )
+from graphmetrics.sssp import DisconnectedGraphError
 
 from conftest import build_graph
 
@@ -47,7 +49,7 @@ class TestBuildMatrix:
     def test_dense_dijkstra_build_equals_reference(self):
         g = generate(GraphSpec(kind="complete", n=70, seed=5))  # above the degree cut
         expected = apsp_repeated_sssp(g).values.tobytes()
-        assert build_matrix(g, "dijkstra").values.tobytes() == expected
+        assert dijkstra_matrix(g).values.tobytes() == expected
 
 
 class TestFloydWarshall:
@@ -65,6 +67,16 @@ class TestFloydWarshall:
         g = build_graph(2, [(0, 1, 1.0)])
         with pytest.raises(MemoryError):
             floyd_warshall(g, max_n=1)
+
+    @pytest.mark.parametrize("edges, unreachable", [
+        ([(0, 1, 1.0), (2, 3, 1.0)], 2),
+        ([(0, 2, 1.0), (2, 4, 1.0), (1, 3, 1.0)], 1),
+        ([(1, 2, 1.0), (2, 3, 1.0)], 1),
+    ], ids=["two-pieces", "gap-below-reached", "isolated-source"])
+    def test_disconnected_names_smallest_unreachable(self, edges, unreachable):
+        with pytest.raises(DisconnectedGraphError) as exc:
+            floyd_warshall(build_graph(max(max(e[:2]) for e in edges) + 1, edges))
+        assert (exc.value.source, exc.value.vertex) == (0, unreachable)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cross_oracle_agreement(self, seed):
@@ -117,4 +129,3 @@ def test_baseline_choice():
     sparse = generate(GraphSpec(kind="sparse", n=100, seed=0, target_edges=150))
     assert choose_baseline(dense) == "floyd"
     assert choose_baseline(sparse) == "dijkstra"
-    assert choose_baseline(dense, "dijkstra") == "dijkstra"
