@@ -91,6 +91,11 @@ def _load(source: str, value: str) -> tuple[Graph, str, int | None]:
     return generate(spec), value, spec.seed
 
 
+def _unreachable(exc: DisconnectedGraphError) -> str:
+    """The error's two vertices in DIMACS ids, as every report gives them."""
+    return f"vertex {exc.vertex + 1} is unreachable from vertex {exc.source + 1}"
+
+
 def _ms(seconds: float) -> float:
     return seconds * 1000.0
 
@@ -249,8 +254,9 @@ def run_bench(
         try:
             g, _, _ = _load(source, value)
             rows.extend(_bench_input(g, name, repeats, mode, max_matrix_n))
-        except (DimacsParseError, GraphValidationError, DisconnectedGraphError,
-                MemoryError, OSError) as exc:
+        except DisconnectedGraphError as exc:
+            rows.append(BenchRow(name=name, errors=_unreachable(exc)))
+        except (DimacsParseError, GraphValidationError, MemoryError, OSError) as exc:
             rows.append(BenchRow(name=name, errors=str(exc)))
     return rows
 
@@ -359,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
                 write_bench_csv(rows, sys.stdout)
             return 0
     except DisconnectedGraphError as exc:
-        print(f"error: graph is disconnected; {exc}", file=sys.stderr)
+        print(f"error: graph is disconnected; {_unreachable(exc)}", file=sys.stderr)
         return 2
     except (DimacsParseError, GraphValidationError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

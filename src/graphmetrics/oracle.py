@@ -37,8 +37,10 @@ def apsp_repeated_sssp(g: Graph) -> DistanceMatrix:
 
 
 def dijkstra_matrix(g: Graph) -> DistanceMatrix:
-    """All-pairs distances as one sssp run per vertex, on the fast kernel:
-    sparse graphs relax arc by arc over one list view built up front."""
+    """All-pairs distances as one sssp run per vertex, on the fast kernel.
+
+    Below the degree cut each row runs relaxation rounds, and the rows that
+    hand over to the heap share one list view built up front."""
     lists = csr_lists(g)
     rows = np.empty((g.n, g.n))
     for i in range(g.n):

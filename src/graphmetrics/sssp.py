@@ -1,16 +1,20 @@
 """Single-source shortest paths and the distance-provider contract.
 
 A distance row is a plain float64 array of length n with row[source] == 0;
-its source is whatever the caller asked for. The provider hides whether rows
-come from an on-demand Dijkstra run (Problem 1) or from a precomputed
-all-pairs matrix (Problem 2), and keeps usage statistics so searches can
-report how little of the graph they touched.
+its source is whatever the caller asked for. sssp computes one: graphs of
+average degree SPARSE_DEGREE_CUT and up run sssp_vectorized, a heap search
+relaxing each neighborhood with numpy; sparser graphs run numpy relaxation
+rounds over the whole graph and hand the thin tail to a heap that relaxes
+arc by arc in Python. The provider hides whether rows come from an
+on-demand sssp run (Problem 1) or from a precomputed all-pairs matrix
+(Problem 2), and keeps usage statistics so searches can report how little
+of the graph they touched.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from math import inf
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
@@ -35,12 +39,29 @@ class DistanceMatrix:
     values: np.ndarray
 
 
-# Average degree (2m/n) from which sssp relaxes a settled vertex's arcs with
-# numpy instead of one by one in Python. Below it numpy's fixed cost per call
-# outweighs the arcs it relaxes. Per SSSP on a 2-core x86 machine the Python
-# loop took 0.3x the numpy time at degree 8, 0.7x at degree 49 and 0.8-1.0x
-# at degree 64; numpy won from degree 72-88 on (1.3x at degree 127).
+# Average degree (2m/n) from which sssp runs sssp_vectorized, relaxing each
+# settled vertex's neighborhood with numpy. Below it numpy's fixed cost per
+# call outweighs the few arcs a neighborhood holds. The cut was measured
+# against the arc-by-arc heap alone and not again against the rounds below.
 SPARSE_DEGREE_CUT = 64.0
+
+# Below the cut sssp first relaxes every arc at once per round (Delta-stepping,
+# Meyer & Sanders 2003, with Delta = infinity): each vertex takes the least
+# d[u] + w(u, v) over its arcs. After WARMUP_ROUNDS rounds, the first round
+# that lowers fewer than n // THIN labels hands over to the lazy-deletion
+# heap, seeded only with the vertices that round lowered: a vertex it left
+# unchanged has already relaxed its arcs at its current label. Both phases
+# stop at Dijkstra's fixed point d[v] = min over u of fl(d[u] + w(u, v)):
+# float addition rounds monotonically, so no label falls below Dijkstra's
+# value, and at the end no arc can lower one. So rows equal sssp_vectorized's
+# bit for bit. Per SSSP on a 2-core x86 machine, heap alone -> this kernel,
+# best of 5: sparse:100:300 0.11 -> 0.06 ms, complete:50 0.17 -> 0.06 ms
+# (rows converge in rounds), sparse:1000:4000 1.6 -> 0.5 ms; long thin
+# graphs hand over after the warm-up and pay for it, path:300 0.12 -> 0.15 ms
+# and grid 70x70 6.5 -> 6.8 ms. Rounds to convergence or a fixed round cap
+# lose on such graphs (ROADMAP, "Measured and dropped").
+WARMUP_ROUNDS = 2
+THIN = 32
 
 
 class CsrLists(NamedTuple):
@@ -52,53 +73,82 @@ class CsrLists(NamedTuple):
 
 
 def csr_lists(g: Graph) -> CsrLists | None:
-    """The list view sssp relaxes g over, or None when g is dense enough
-    for the vectorized relaxation (which then needs no lists)."""
+    """The list view sssp's heap relaxes g over, or None when g is dense
+    enough for the vectorized relaxation (which then needs no lists)."""
     if g.average_degree >= SPARSE_DEGREE_CUT:
         return None
     return CsrLists(g.indptr.tolist(), g.indices.tolist(), g.weights.tolist())
 
 
-def sssp(g: Graph, source: int, lists: CsrLists | None = None) -> np.ndarray:
+def sssp(
+    g: Graph, source: int, lists: CsrLists | Callable[[], CsrLists] | None = None
+) -> np.ndarray:
     """Distances from source to every vertex, as a float64 array with
-    row[source] == 0: Dijkstra with a binary heap (lazy deletion) over the
-    CSR adjacency.
+    row[source] == 0.
 
-    Sparse graphs relax arc by arc over `lists`, csr_lists(g); a caller that
-    runs many searches on one graph passes the view in so that it is built
-    once. Dense graphs run sssp_vectorized. Both produce the same distances
-    bit for bit.
+    Dense graphs run sssp_vectorized. Below SPARSE_DEGREE_CUT the row is
+    found in numpy relaxation rounds over the whole CSR; when the rounds
+    thin out, a binary heap (lazy deletion) finishes it arc by arc over
+    `lists`, csr_lists(g). A caller that runs many searches on one graph
+    passes the view in, or a function that builds it once on first use, so
+    that rows that converge in rounds build nothing. A CsrLists passed in
+    selects this kernel whatever g's degree. All paths produce the same
+    distances bit for bit.
     """
-    if lists is None:
-        lists = csr_lists(g)
-    if lists is None:
-        return sssp_vectorized(g, source)
     n = g.n
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range")
-    indptr, indices, weights = lists
-    dist = [inf] * n
+    if not isinstance(lists, CsrLists) and g.average_degree >= SPARSE_DEGREE_CUT:
+        return sssp_vectorized(g, source)
+    dist = np.full(n, np.inf)
     dist[source] = 0.0
-    done = [False] * n
-    remaining = n
-    heap = [(0.0, source)]
+    seeds = [source]
+    indptr = g.indptr
+    # reduceat would give a vertex without arcs the next vertex's first arc
+    # (or read past the end for the last vertex), so such graphs skip the
+    # rounds; with n > 1 they are disconnected, and the heap names the vertex.
+    if (indptr[1:] > indptr[:-1]).all():
+        starts, indices, weights = indptr[:-1], g.indices, g.weights
+        rounds = 0
+        while True:
+            new = np.minimum.reduceat(dist[indices] + weights, starts)
+            new[source] = 0.0  # every other label is at most its last value
+            lowered = new < dist
+            count = np.count_nonzero(lowered)
+            dist = new
+            rounds += 1
+            if count == 0:
+                return _checked(dist, source)
+            if rounds > WARMUP_ROUNDS and count < n // THIN:
+                seeds = np.flatnonzero(lowered).tolist()
+                break
+    if lists is None:
+        lists = csr_lists(g)
+    elif not isinstance(lists, CsrLists):
+        lists = lists()
+    indptr, indices, weights = lists
+    d = dist.tolist()
+    heap = [(d[u], u) for u in seeds]
+    heapify(heap)
     while heap:
-        d, u = heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        remaining -= 1
-        if remaining == 0:
-            break
+        du, u = heappop(heap)
+        if du > d[u]:
+            continue  # a stale entry: u was lowered after it was pushed
         for i in range(indptr[u], indptr[u + 1]):
             v = indices[i]
-            dv = d + weights[i]
-            if dv < dist[v]:
-                dist[v] = dv
+            dv = du + weights[i]
+            if dv < d[v]:
+                d[v] = dv
                 heappush(heap, (dv, v))
-    if remaining:
-        raise DisconnectedGraphError(source, done.index(False))
-    return np.array(dist)
+    return _checked(np.array(d), source)
+
+
+def _checked(dist: np.ndarray, source: int) -> np.ndarray:
+    """dist, or DisconnectedGraphError naming its smallest unreachable id."""
+    unreachable = np.flatnonzero(np.isinf(dist))
+    if unreachable.size:
+        raise DisconnectedGraphError(source, int(unreachable[0]))
+    return dist
 
 
 def sssp_vectorized(g: Graph, source: int) -> np.ndarray:
@@ -151,11 +201,12 @@ class DistanceProvider:
     """Unified row access for Problems 1 and 2 with access accounting.
 
     row(source) returns the distance array from source. On-demand mode
-    computes rows by Dijkstra and caches them for the provider's lifetime
-    (no eviction), building the graph's list view for sssp once, on the
-    first miss; matrix-backed mode hands out views values[source] of a
-    precomputed DistanceMatrix, cached the same way. rows_accessed counts
-    every row read, sssp_count only rows actually computed.
+    computes rows by sssp and caches them for the provider's lifetime (no
+    eviction), building the graph's list view at most once, when a row first
+    hands over to sssp's heap; matrix-backed mode hands out views
+    values[source] of a precomputed DistanceMatrix, cached the same way.
+    rows_accessed counts every row read, sssp_count only rows actually
+    computed.
     """
 
     def __init__(self, graph: Graph | None = None, matrix: DistanceMatrix | None = None):
@@ -164,7 +215,7 @@ class DistanceProvider:
         self._graph = graph
         self._matrix = matrix
         self._cache: dict[int, np.ndarray] = {}
-        self._lists: CsrLists | None = None  # stays None for dense graphs
+        self._lists: CsrLists | None = None  # built by the first row that needs it
         self.sssp_count = 0
         self.rows_accessed = 0
 
@@ -188,9 +239,13 @@ class DistanceProvider:
         if self._matrix is not None:
             row = self._matrix.values[source]
         else:
-            if self._lists is None:
-                self._lists = csr_lists(self._graph)
-            row = sssp(self._graph, source, self._lists)
+            row = sssp(self._graph, source, self._list_view)
             self.sssp_count += 1
         self._cache[source] = row
         return row
+
+    def _list_view(self) -> CsrLists:
+        """The graph's list view, built when a row first needs the heap."""
+        if self._lists is None:
+            self._lists = csr_lists(self._graph)
+        return self._lists

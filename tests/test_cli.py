@@ -249,7 +249,8 @@ class TestBenchCommand:
 class TestDisconnected:
     """Each command reports a disconnected graph the same way, whichever SSSP
     or matrix build meets it first: the smallest internal id vertex 0 cannot
-    reach, exit 2 and no output."""
+    reach, named in DIMACS ids (id + 1) like every report, exit 2 and no
+    output."""
 
     @pytest.mark.parametrize("text, builder, vertex", DISCONNECTED_INPUTS)
     @pytest.mark.parametrize("argv", [
@@ -262,7 +263,7 @@ class TestDisconnected:
         assert main(argv + ["--input", str(p)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: graph is disconnected; vertex {vertex} is unreachable from vertex 0\n"
+        assert err == f"error: graph is disconnected; vertex {vertex + 1} is unreachable from vertex 1\n"
 
     @pytest.mark.parametrize("text, builder, vertex", DISCONNECTED_INPUTS)
     @pytest.mark.parametrize("mode", ["p1", "p2"])
@@ -273,7 +274,7 @@ class TestDisconnected:
         assert main(["bench", "--input", str(p), "--mode", mode, "--csv", str(out)]) == 0
         with open(out, newline="") as fh:
             (row,) = list(csv.DictReader(fh))
-        assert row["errors"] == f"vertex {vertex} is unreachable from vertex 0"
+        assert row["errors"] == f"vertex {vertex + 1} is unreachable from vertex 1"
 
 
 class TestGenCommand:

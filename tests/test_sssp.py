@@ -64,21 +64,35 @@ def _outcome(search, g, source):
         return ("unreachable", exc.source, exc.vertex)
 
 
+def _seeded_edges(rng, n, dense):
+    """Complete on n vertices (dense), or a random spanning tree plus up to
+    2n random edges, its tree anything from a path to a bushy tree."""
+    if dense:
+        return np.triu_indices(n, k=1)
+    perm = rng.permutation(n)
+    reach = int(rng.integers(1, n))  # 1: the tree is a path
+    parents = [int(perm[rng.integers(max(0, i - reach), i)]) for i in range(1, n)]
+    extra = int(rng.integers(0, 2 * n))
+    u = np.concatenate([perm[1:], rng.integers(0, n, extra)])
+    v = np.concatenate([parents, rng.integers(0, n, extra)]).astype(np.int64)
+    return u, v
+
+
 def _seeded_graph(seed, dense, weights, cut_off):
     """Random graph on either side of SPARSE_DEGREE_CUT with float, integer
-    or partly zero weights, some edges listed twice with another weight, and
-    (cut_off) one vertex without edges."""
+    or partly zero weights and some edges listed twice with another weight.
+    cut_off "vertex" takes every edge off one vertex; "component" joins two
+    such graphs side by side, ids shuffled, so no vertex is without edges."""
     rng = np.random.default_rng(seed)
-    if dense:
-        n = int(rng.integers(70, 80))  # degree > 64 even with a vertex cut off
-        u, v = np.triu_indices(n, k=1)
-    else:
-        n = int(rng.integers(2, 60))
-        perm = rng.permutation(n)
-        parents = [int(perm[rng.integers(0, i)]) for i in range(1, n)]
-        extra = int(rng.integers(0, 2 * n))
-        u = np.concatenate([perm[1:], rng.integers(0, n, extra)])
-        v = np.concatenate([parents, rng.integers(0, n, extra)]).astype(np.int64)
+    low, high = (70, 80) if dense else (2, 120)  # dense: degree > 64 even with a vertex cut off
+    n = int(rng.integers(low, high))
+    u, v = _seeded_edges(rng, n, dense)
+    if cut_off == "component":
+        n2 = int(rng.integers(low, high))
+        u2, v2 = _seeded_edges(rng, n2, dense)
+        ids = rng.permutation(n + n2)
+        u, v = ids[np.concatenate([u, u2 + n])], ids[np.concatenate([v, v2 + n])]
+        n += n2
     k = u.size // 4
     u = np.concatenate([u, v[:k]])  # parallel arcs, listed in either direction
     v = np.concatenate([v, u[:k]])
@@ -88,27 +102,38 @@ def _seeded_graph(seed, dense, weights, cut_off):
         w = rng.integers(0, 4, u.size).astype(np.float64)  # zeros and ties
     else:
         w = rng.uniform(0.0, 100.0, u.size) * (rng.random(u.size) < 0.5)
-    if cut_off and n > 1:
+    if cut_off == "vertex":
         lone = int(rng.integers(0, n))
         keep = (u != lone) & (v != lone)
         u, v, w = u[keep], v[keep], w[keep]
     return build_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
 
 
+def _path(n):
+    rng = np.random.default_rng(0)
+    return build_graph(n, [(i, i + 1, float(rng.uniform(0.0, 100.0))) for i in range(n - 1)])
+
+
+def _no_heap():
+    raise AssertionError("sssp handed over to the heap")
+
+
 class TestListRelaxation:
-    """sssp's arc-by-arc relaxation against the vectorized reference."""
+    """sssp's relaxation rounds and heap against the vectorized reference."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         dense=st.booleans(),
         weights=st.sampled_from(["float", "int", "zero"]),
-        cut_off=st.booleans(),
+        cut_off=st.sampled_from([None, "vertex", "component"]),
     )
     def test_bit_identical_to_vectorized(self, seed, dense, weights, cut_off):
         g = _seeded_graph(seed, dense, weights, cut_off)
         assert (csr_lists(g) is None) == dense == (g.average_degree >= SPARSE_DEGREE_CUT)
-        # forced onto the list path whichever side of the cut g is on
+        # forced below the cut whichever side of it g is on: rounds until
+        # they thin out, then the heap (straight to the heap when a vertex
+        # has no edges)
         lists = CsrLists(g.indptr.tolist(), g.indices.tolist(), g.weights.tolist())
         sources = range(0, g.n, 1 + g.n // 4) if dense else range(g.n)
         for s in sources:
@@ -116,9 +141,37 @@ class TestListRelaxation:
             assert _outcome(lambda g, s: sssp(g, s, lists), g, s) == expected
             assert _outcome(sssp, g, s) == expected
 
+    def test_path_hands_over_after_the_warm_up(self):
+        g = _path(300)
+        for s in (0, 150, 299):
+            handed = []
+            row = sssp(g, s, lambda: handed.append(s) or csr_lists(g))
+            assert handed == [s]
+            assert row.tobytes() == sssp_vectorized(g, s).tobytes()
+
+    def test_complete_converges_in_rounds(self):
+        g = generate(GraphSpec(kind="complete", n=50, seed=0))
+        assert g.average_degree < SPARSE_DEGREE_CUT
+        for s in range(g.n):
+            assert sssp(g, s, _no_heap).tobytes() == sssp_vectorized(g, s).tobytes()
+
+    @pytest.mark.parametrize("lone", [0, 2, 4])
+    def test_vertex_without_edges(self, lone):
+        # reduceat would read past the arcs for the last vertex, or take the
+        # next vertex's arcs for any other; the heap names it instead
+        others = [v for v in range(5) if v != lone]
+        g = build_graph(5, [(a, b, 1.0) for a, b in zip(others, others[1:])])
+        for s in range(5):
+            unreachable = others[0] if s == lone else lone
+            for search in (sssp, sssp_vectorized):
+                with pytest.raises(DisconnectedGraphError) as exc:
+                    search(g, s)
+                assert (exc.value.source, exc.value.vertex) == (s, unreachable)
+
     def test_disconnected_names_the_same_vertex(self):
         g = build_graph(5, [(0, 3, 1.0), (1, 2, 1.0), (3, 4, 0.0)])
-        for search in (sssp, sssp_vectorized):
+        searches = (sssp, sssp_vectorized, lambda g, s: sssp(g, s, _no_heap))
+        for search in searches:  # the last converges in rounds with inf left
             with pytest.raises(DisconnectedGraphError) as exc:
                 search(g, 4)
             assert (exc.value.source, exc.value.vertex) == (4, 1)
@@ -186,7 +239,24 @@ class TestDistanceProvider:
         for s in range(g.n):
             assert p.row(s).tobytes() == sssp_vectorized(g, s).tobytes()
         assert p.sssp_count == g.n
-        assert len(built) == 1 and built[0] is g
+        assert len(built) <= 1 and all(b is g for b in built)
+
+    @pytest.mark.parametrize("graph, builds", [
+        (generate(GraphSpec(kind="complete", n=50, seed=0)), 0),  # rows converge in rounds
+        (_path(300), 1),  # rows hand over to the heap
+    ])
+    def test_list_view_built_when_a_row_first_needs_the_heap(self, monkeypatch, graph, builds):
+        built = []
+
+        def counting_csr_lists(g):
+            built.append(g)
+            return csr_lists(g)
+
+        monkeypatch.setattr(sssp_module, "csr_lists", counting_csr_lists)
+        p = DistanceProvider.on_demand(graph)
+        for s in range(0, graph.n, 7):
+            assert p.row(s).tobytes() == sssp_vectorized(graph, s).tobytes()
+        assert built == [graph] * builds
 
     def test_requires_exactly_one_backing(self, path4):
         with pytest.raises(ValueError):
