@@ -33,7 +33,7 @@ from .oracle import (
 )
 from .radius import find_radius
 from .report import BenchRow, RunReport, write_bench_csv, write_reports_json
-from .sssp import DisconnectedGraphError, DistanceProvider
+from .sssp import DisconnectedGraphError, DistanceMatrix, DistanceProvider
 
 
 def parse_gen_spec(text: str) -> GraphSpec:
@@ -70,7 +70,7 @@ def parse_gen_spec(text: str) -> GraphSpec:
         elif key == "whi":
             hi = number(float, value, "whi")
         elif key == "int":
-            kwargs["integer_weights"] = bool(number(int, value, "int"))
+            kwargs["integer_weights"] = number(int, value, "int")
         else:
             raise GraphValidationError(f"unknown generator option {key!r}")
     return GraphSpec(
@@ -106,6 +106,32 @@ def _timed(fn, *args):
     return out, time.perf_counter() - t0
 
 
+def _search(g: Graph, matrix: DistanceMatrix | None, target: str = "both"):
+    """R, then D unless target is "radius", on one fresh provider: over the
+    matrix when there is one (p2), else on demand (p1). Returns each result
+    with its seconds, D's result None when D did not run."""
+    if matrix is None:
+        provider, diameter, backing = DistanceProvider.on_demand(g), diameter_p1, g
+    else:
+        provider, diameter, backing = DistanceProvider.from_matrix(matrix), diameter_p2, matrix
+    rr, radius_s = _timed(find_radius, provider)
+    if target == "radius":
+        return rr, radius_s, None, 0.0
+    dr, diameter_s = _timed(diameter, backing, rr, provider)
+    return rr, radius_s, dr, diameter_s
+
+
+def _report(
+    g: Graph, name: str, seed: int | None, algo: str, seconds: float,
+    sssp_count: int, rows_accessed: int, **fields,
+) -> RunReport:
+    return RunReport(
+        name=name, n=g.n, m=g.m, algo=algo, sssp_count=sssp_count,
+        sssp_share=sssp_count / g.n, rows_accessed=rows_accessed,
+        elapsed_ms=_ms(seconds), seed=seed, **fields,
+    )
+
+
 def run_metrics(
     g: Graph,
     name: str,
@@ -115,33 +141,22 @@ def run_metrics(
     max_matrix_n: int = DEFAULT_MATRIX_CAP,
 ) -> list[RunReport]:
     """Run the fast searches; one report per algorithm executed."""
-    reports: list[RunReport] = []
-    matrix_build_ms = None
+    matrix = matrix_build_ms = None
     if mode == "p2":
         matrix, build_s = _timed(build_matrix, g, max_matrix_n)
         matrix_build_ms = _ms(build_s)
-        provider = DistanceProvider.from_matrix(matrix)
-    else:
-        provider = DistanceProvider.on_demand(g)
-
-    def report(algo, result, seconds, **answer) -> RunReport:
-        return RunReport(
-            name=name, n=g.n, m=g.m, algo=algo + mode[1],  # "p1" -> R1, D1
-            sssp_count=result.sssp_count, sssp_share=result.sssp_count / g.n,
-            rows_accessed=result.rows_accessed, elapsed_ms=_ms(seconds),
-            matrix_build_ms=matrix_build_ms, seed=seed, **answer,
-        )
-
-    rr, radius_s = _timed(find_radius, provider)
-    if target in ("radius", "both"):
-        reports.append(report("R", rr, radius_s, radius=rr.radius, center=rr.center + 1))
-    if target in ("diameter", "both"):
-        if mode == "p2":
-            dr, diameter_s = _timed(diameter_p2, matrix, rr, provider)
-        else:
-            dr, diameter_s = _timed(diameter_p1, g, rr, provider)
-        reports.append(report(
-            "D", dr, radius_s + diameter_s,
+    rr, radius_s, dr, diameter_s = _search(g, matrix, target)
+    reports: list[RunReport] = []
+    if target != "diameter":
+        reports.append(_report(
+            g, name, seed, "R" + mode[1], radius_s,  # "p1" -> R1
+            rr.sssp_count, rr.rows_accessed, matrix_build_ms=matrix_build_ms,
+            radius=rr.radius, center=rr.center + 1,
+        ))
+    if dr is not None:
+        reports.append(_report(
+            g, name, seed, "D" + mode[1], radius_s + diameter_s,
+            dr.sssp_count, dr.rows_accessed, matrix_build_ms=matrix_build_ms,
             diameter=dr.diameter, pair=[v + 1 for v in dr.peripheral_pair],
         ))
     return reports
@@ -154,35 +169,14 @@ def run_oracle(
     max_matrix_n: int = DEFAULT_MATRIX_CAP,
 ):
     matrix, build_s = _timed(build_matrix, g, max_matrix_n)
-    metrics = scan_metrics(matrix)
+    metrics, scan_s = _timed(scan_metrics, matrix)
     sssp_count = g.n if choose_baseline(g) == "dijkstra" else 0
-    common = dict(
-        name=name,
-        n=g.n,
-        m=g.m,
-        sssp_count=sssp_count,
-        sssp_share=sssp_count / g.n,
-        rows_accessed=g.n,
-        seed=seed,
-    )
+    pair = metrics.all_peripheral_pairs[0] if metrics.all_peripheral_pairs else (0, 0)
     reports = [
-        RunReport(
-            algo="RC1",
-            radius=metrics.radius,
-            center=metrics.all_centers[0] + 1,
-            elapsed_ms=_ms(build_s + metrics.elapsed),
-            **common,
-        ),
-        RunReport(
-            algo="DC1",
-            diameter=metrics.diameter,
-            pair=[
-                v + 1
-                for v in (metrics.all_peripheral_pairs[0] if metrics.all_peripheral_pairs else (0, 0))
-            ],
-            elapsed_ms=_ms(build_s + metrics.elapsed),
-            **common,
-        ),
+        _report(g, name, seed, "RC1", build_s + scan_s, sssp_count, g.n,
+                radius=metrics.radius, center=metrics.all_centers[0] + 1),
+        _report(g, name, seed, "DC1", build_s + scan_s, sssp_count, g.n,
+                diameter=metrics.diameter, pair=[v + 1 for v in pair]),
     ]
     return metrics, reports
 
@@ -192,25 +186,19 @@ def _bench_input(
 ) -> list[BenchRow]:
     """Mean times of the full scans (RC, DC) and the pivot searches (R, D).
 
+    Each repeat runs R and then D on one fresh provider; D's time includes
+    R's, as in the metrics report.
     p1 times an APSP as part of each scan, built by dijkstra_matrix so that
     the scans run the same SSSP kernel as R1 and D1.
     p2 builds the matrix once, untimed, and warms up before timing.
     """
     p2 = mode == "p2"
     matrix = build_matrix(g, max_matrix_n) if p2 else None
-
-    def fresh() -> DistanceProvider:
-        return DistanceProvider.from_matrix(matrix) if p2 else DistanceProvider.on_demand(g)
-
-    def radius_then_diameter(provider: DistanceProvider):
-        rr = find_radius(provider)
-        return diameter_p2(matrix, rr, provider=provider) if p2 else diameter_p1(g, rr, provider)
-
     if p2:
         # untimed warm-up; the paper's timings also come from consecutive runs
         scan_radius(matrix)
         scan_diameter(matrix)
-        radius_then_diameter(fresh())
+        _search(g, matrix)
     total = dict.fromkeys(("RC", "R", "DC", "D"), 0.0)
     for _ in range(repeats):
         M, apsp_s = (matrix, 0.0) if p2 else _timed(dijkstra_matrix, g)
@@ -218,10 +206,9 @@ def _bench_input(
         total["RC"] += apsp_s + s
         (diameter, _), s = _timed(scan_diameter, M)
         total["DC"] += apsp_s + s
-        rr, s = _timed(find_radius, fresh())
-        total["R"] += s
-        dr, s = _timed(radius_then_diameter, fresh())
-        total["D"] += s
+        rr, radius_s, dr, diameter_s = _search(g, matrix)
+        total["R"] += radius_s
+        total["D"] += radius_s + diameter_s
 
     mean = {algo: t / repeats for algo, t in total.items()}
     n, suffix = g.n, "2" if p2 else "1"

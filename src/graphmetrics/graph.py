@@ -210,6 +210,12 @@ class GraphSpec:
             raise GraphValidationError(f"unknown generator kind {self.kind!r}")
         if self.n < 1:
             raise GraphValidationError("n must be positive")
+        if self.seed < 0:
+            raise GraphValidationError(f"seed must be non-negative, got {self.seed}")
+        if self.integer_weights not in (0, 1):
+            raise GraphValidationError(
+                f"integer_weights (int) must be 0 or 1, got {self.integer_weights!r}"
+            )
         lo, hi = self.weight_range
         if lo < 0 or lo > hi:
             raise GraphValidationError("weight range needs 0 <= lo <= hi")

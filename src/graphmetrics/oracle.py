@@ -4,8 +4,8 @@ of every speedup measurement.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class OracleMetrics:
     all_centers: list[int]
     diameter: float
     all_peripheral_pairs: list[tuple[int, int]]
-    elapsed: float  # seconds, scan only
 
 
 def apsp_repeated_sssp(g: Graph) -> DistanceMatrix:
@@ -39,9 +38,9 @@ def apsp_repeated_sssp(g: Graph) -> DistanceMatrix:
 def dijkstra_matrix(g: Graph) -> DistanceMatrix:
     """All-pairs distances as one sssp run per vertex, on the fast kernel.
 
-    Below the degree cut each row runs relaxation rounds, and the rows that
-    hand over to the heap share one list view built up front."""
-    lists = csr_lists(g)
+    The rows that hand over to sssp's heap share one list view, built when
+    the first of them needs it; a dense graph's rows never do."""
+    lists = cache(partial(csr_lists, g))
     rows = np.empty((g.n, g.n))
     for i in range(g.n):
         rows[i] = sssp(g, i, lists)
@@ -91,7 +90,6 @@ def scan_diameter(M: DistanceMatrix) -> tuple[float, tuple[int, int]]:
 
 def scan_metrics(M: DistanceMatrix) -> OracleMetrics:
     """Exhaustive scan: radius, diameter and ALL centers / peripheral pairs."""
-    start = time.perf_counter()
     values = M.values
     row_max = values.max(axis=1)
     radius = float(row_max.min())
@@ -103,13 +101,11 @@ def scan_metrics(M: DistanceMatrix) -> OracleMetrics:
         diameter = float(row_max.max())
         ii, jj = np.nonzero(values == diameter)
         pairs = [(int(a), int(b)) for a, b in zip(ii, jj) if a < b]
-    elapsed = time.perf_counter() - start
     return OracleMetrics(
         radius=radius,
         all_centers=centers,
         diameter=diameter,
         all_peripheral_pairs=pairs,
-        elapsed=elapsed,
     )
 
 

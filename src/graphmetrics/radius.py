@@ -71,7 +71,8 @@ def far_pair(provider: DistanceProvider) -> tuple[int, int]:
 
     Start at vertex 0 and repeatedly jump to the farthest vertex (smallest
     id on ties) until the walk revisits the vertex two steps back, or the
-    step cap is hit. Every returned vertex has its row already cached.
+    step cap is hit. Every returned vertex has its row already cached, but
+    for vertex 1 in the pair (0, 1) returned when every distance is 0.
     """
     n = provider.n
     if n == 1:
@@ -81,6 +82,8 @@ def far_pair(provider: DistanceProvider) -> tuple[int, int]:
     cap = min(n, FAR_PAIR_CAP)
     for _ in range(cap):
         _, nxt = eccentricity(provider.row(cur))
+        if nxt == cur:  # every distance is 0; only vertex 0's row gets here
+            return 0, 1
         if nxt == prev:
             return cur, nxt
         prev, cur = cur, nxt

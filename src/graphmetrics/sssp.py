@@ -39,10 +39,13 @@ class DistanceMatrix:
     values: np.ndarray
 
 
-# Average degree (2m/n) from which sssp runs sssp_vectorized, relaxing each
-# settled vertex's neighborhood with numpy. Below it numpy's fixed cost per
-# call outweighs the few arcs a neighborhood holds. The cut was measured
-# against the arc-by-arc heap alone and not again against the rounds below.
+# Average degree (2m/n) from which sssp runs sssp_vectorized instead of the
+# rounds and heap below. Per SSSP (seed 0, 20 sources, best of 5, 2-core x86
+# machine), rounds vs sssp_vectorized: complete:70 0.12 vs 0.26 ms,
+# sparse:2000:80000 (degree 80) 7.6 vs 9.2, complete:200 0.95 vs 0.86,
+# complete:400 5.2 vs 2.0, complete:1000 51 vs 6.9. So the crossover lies
+# between degree 80 and 200; the cut stays until a benchmark workload runs
+# SSSPs at degree 64 or more (ROADMAP item 0).
 SPARSE_DEGREE_CUT = 64.0
 
 # Below the cut sssp first relaxes every arc at once per round (Delta-stepping,
@@ -72,33 +75,30 @@ class CsrLists(NamedTuple):
     weights: list[float]
 
 
-def csr_lists(g: Graph) -> CsrLists | None:
-    """The list view sssp's heap relaxes g over, or None when g is dense
-    enough for the vectorized relaxation (which then needs no lists)."""
-    if g.average_degree >= SPARSE_DEGREE_CUT:
-        return None
+def csr_lists(g: Graph) -> CsrLists:
+    """The list view sssp's heap relaxes g over."""
     return CsrLists(g.indptr.tolist(), g.indices.tolist(), g.weights.tolist())
 
 
 def sssp(
-    g: Graph, source: int, lists: CsrLists | Callable[[], CsrLists] | None = None
+    g: Graph, source: int, lists: Callable[[], CsrLists] | None = None
 ) -> np.ndarray:
     """Distances from source to every vertex, as a float64 array with
     row[source] == 0.
 
-    Dense graphs run sssp_vectorized. Below SPARSE_DEGREE_CUT the row is
-    found in numpy relaxation rounds over the whole CSR; when the rounds
-    thin out, a binary heap (lazy deletion) finishes it arc by arc over
-    `lists`, csr_lists(g). A caller that runs many searches on one graph
-    passes the view in, or a function that builds it once on first use, so
-    that rows that converge in rounds build nothing. A CsrLists passed in
-    selects this kernel whatever g's degree. All paths produce the same
-    distances bit for bit.
+    The kernel follows g's average degree alone. From SPARSE_DEGREE_CUT on
+    the row is sssp_vectorized's. Below it the row is found in numpy
+    relaxation rounds over the whole CSR; when the rounds thin out, a binary
+    heap (lazy deletion) finishes it arc by arc over the list view that
+    `lists()` returns, or csr_lists(g) without it. A caller that runs many
+    searches on one graph passes a function that builds the view once, on
+    first use, so that rows that converge in rounds, and rows of dense
+    graphs, build nothing. All paths produce the same distances bit for bit.
     """
     n = g.n
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range")
-    if not isinstance(lists, CsrLists) and g.average_degree >= SPARSE_DEGREE_CUT:
+    if g.average_degree >= SPARSE_DEGREE_CUT:
         return sssp_vectorized(g, source)
     dist = np.full(n, np.inf)
     dist[source] = 0.0
@@ -122,11 +122,7 @@ def sssp(
             if rounds > WARMUP_ROUNDS and count < n // THIN:
                 seeds = np.flatnonzero(lowered).tolist()
                 break
-    if lists is None:
-        lists = csr_lists(g)
-    elif not isinstance(lists, CsrLists):
-        lists = lists()
-    indptr, indices, weights = lists
+    indptr, indices, weights = csr_lists(g) if lists is None else lists()
     d = dist.tolist()
     heap = [(d[u], u) for u in seeds]
     heapify(heap)
@@ -202,9 +198,10 @@ class DistanceProvider:
 
     row(source) returns the distance array from source. On-demand mode
     computes rows by sssp and caches them for the provider's lifetime (no
-    eviction), building the graph's list view at most once, when a row first
-    hands over to sssp's heap; matrix-backed mode hands out views
-    values[source] of a precomputed DistanceMatrix, cached the same way.
+    eviction). sssp asks its _list_view for the graph's list view, which is
+    built at most once, when a row first hands over to sssp's heap, so never
+    on a dense graph; matrix-backed mode hands out views values[source] of a
+    precomputed DistanceMatrix, cached the same way.
     rows_accessed counts every row read, sssp_count only rows actually
     computed.
     """

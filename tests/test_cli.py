@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from graphmetrics import cli as cli_module
 from graphmetrics.cli import main, parse_gen_spec
 from graphmetrics.graph import GraphValidationError, load_dimacs
 from graphmetrics.oracle import choose_baseline
+from graphmetrics.radius import find_radius
 
 PATH_FIXTURE = (
     "p sp 4 6\n"
@@ -52,7 +54,8 @@ class TestGenSpecParsing:
         assert spec.integer_weights
 
     def test_bad_specs(self):
-        for text in ["complete", "complete:x", "complete:5:bogus=1"]:
+        for text in ["complete", "complete:x", "complete:5:bogus=1",
+                     "complete:5:seed=-1", "complete:5:int=-1", "complete:5:int=2"]:
             with pytest.raises(GraphValidationError):
                 parse_gen_spec(text)
 
@@ -65,6 +68,20 @@ class TestGenSpecParsing:
     def test_non_numeric_field_is_named(self, capsys, text, field):
         assert main(["metrics", "--gen", text]) == 2
         assert f"bad {field} in generator spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("complete:5:seed=-1", "seed must be non-negative, got -1"),
+        ("complete:5:int=-1", "integer_weights (int) must be 0 or 1, got -1"),
+        ("sparse:9:int=2", "integer_weights (int) must be 0 or 1, got 2"),
+    ])
+    @pytest.mark.parametrize("command", [["metrics"], ["oracle"], ["gen", "--output", "g.gr"]])
+    def test_field_out_of_range_is_named(
+        self, tmp_path, monkeypatch, capsys, command, text, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--gen", text]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "g.gr").exists()
 
     @pytest.mark.parametrize("text, weight_range", [
         ("complete:5:whi=1e30:int=1", "[0.0, 1e+30]"),
@@ -238,6 +255,29 @@ class TestBenchCommand:
         assert rows[0]["errors"] != ""
         assert [r["algo"] for r in rows[1:]] == ["RC1", "R1", "DC1", "D1"]
 
+    def test_bad_generator_field_recorded_per_input(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--gen", "complete:5:seed=-1", "--gen", "complete:10:seed=0",
+                     "--csv", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["errors"] == "seed must be non-negative, got -1"
+        assert [r["algo"] for r in rows[1:]] == ["RC1", "R1", "DC1", "D1"]
+
+    @pytest.mark.parametrize("mode, warm_up", [("p1", 0), ("p2", 1)])
+    def test_radius_search_runs_once_per_repeat(self, monkeypatch, tmp_path, mode, warm_up):
+        calls = []
+
+        def counting_find_radius(provider):
+            calls.append(provider)
+            return find_radius(provider)
+
+        monkeypatch.setattr(cli_module, "find_radius", counting_find_radius)
+        assert main(["bench", "--gen", "sparse:30:seed=2", "--mode", mode, "--repeats", "3",
+                     "--csv", str(tmp_path / "bench.csv")]) == 0
+        assert len(calls) == 3 + warm_up
+        assert len({id(p) for p in calls}) == len(calls)  # each on a fresh provider
+
     def test_no_inputs_is_an_error(self, capsys):
         assert main(["bench"]) == 2
 
@@ -297,7 +337,7 @@ def test_json_report_roundtrip(path_file, tmp_path):
         assert isinstance(r["radius" if r["algo"].startswith("R") else "diameter"], float)
 
 
-def test_commands_import_numpy_only():
+def test_commands_import_numpy_only(tmp_path):
     """scipy more than doubles a numpy-only process's memory, so no command
     may load it, not even indirectly."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -309,6 +349,9 @@ def test_commands_import_numpy_only():
         "    ['metrics', '--gen', 'sparse:30:seed=1', '--mode', 'p2'],\n"
         "    ['metrics', '--gen', 'complete:20:seed=1', '--mode', 'p2'],\n"
         "    ['oracle', '--gen', 'sparse:30:seed=1'],\n"
+        "    ['bench', '--gen', 'sparse:30:seed=1', '--mode', 'p1'],\n"
+        "    ['bench', '--gen', 'sparse:30:seed=1', '--mode', 'p2'],\n"
+        f"    ['gen', '--gen', 'sparse:30:seed=1', '--output', {str(tmp_path / 'g.gr')!r}],\n"
         "):\n"
         "    assert main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"

@@ -150,6 +150,20 @@ class TestDiameterP1:
         assert dr.vertices_scanned > 0
 
 
+class TestZeroDiameter:
+    @pytest.mark.parametrize("g", [
+        generate(GraphSpec(kind="complete", n=4, seed=0, weight_range=(0.0, 0.0))),
+        build_graph(3, [(0, 1, 0.0), (1, 2, 0.0)]),
+    ], ids=["complete4", "path3"])
+    def test_pair_is_two_vertices(self, g):
+        M = apsp_repeated_sssp(g)
+        p1, p2 = DistanceProvider.on_demand(g), DistanceProvider.from_matrix(M)
+        for dr in (diameter_p1(g, find_radius(p1), p1), diameter_p2(M, find_radius(p2), p2)):
+            a, b = dr.peripheral_pair
+            assert dr.diameter == 0.0 and a != b
+            assert dr.peripheral_pair == scan_metrics(M).all_peripheral_pairs[0]
+
+
 class TestExactness:
     @pytest.mark.parametrize("g", list(seeded_cases(24, master_seed=55)), ids=lambda g: f"n{g.n}m{g.m}")
     def test_both_searches_match_oracle(self, g):

@@ -208,6 +208,11 @@ class TestGenerate:
             GraphSpec(kind="complete", n=5, weight_range=(4.0, 2.0))
         with pytest.raises(GraphValidationError):
             GraphSpec(kind="wheel", n=5)
+        with pytest.raises(GraphValidationError, match="seed"):
+            GraphSpec(kind="complete", n=5, seed=-1)
+        for flag in (-1, 2):
+            with pytest.raises(GraphValidationError, match="integer_weights"):
+                GraphSpec(kind="complete", n=5, integer_weights=flag)
 
     @pytest.mark.parametrize("weight_range, integer_weights", [
         ((0.0, float("nan")), False),

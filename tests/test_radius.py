@@ -40,6 +40,11 @@ class TestFarPair:
         g = build_graph(1, [])
         assert far_pair(DistanceProvider.on_demand(g)) == (0, 0)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_zero_weights_give_two_vertices(self, n):
+        g = build_graph(n, [(i, i + 1, 0.0) for i in range(n - 1)])
+        assert far_pair(DistanceProvider.on_demand(g)) == (0, 1)
+
     def test_pair_beats_random_pairs(self):
         g = generate(GraphSpec(kind="sparse", n=100, seed=5, target_edges=250))
         M = apsp_repeated_sssp(g).values
