@@ -93,18 +93,15 @@ def _tiny_result(provider: DistanceProvider, rr: RadiusResult) -> DiameterResult
 def diameter_p2(
     matrix: DistanceMatrix,
     rr: RadiusResult,
-    provider: DistanceProvider | None = None,
+    provider: DistanceProvider,
 ) -> DiameterResult:
     """Matrix-backed diameter search (Problem 2).
 
     Only rows of vertices farther than half the current lower bound from the
     center can contain a distance beating the bound; the half-bound filter is
     re-evaluated against the updated bound before each row is scanned.
-    Every row is read through the provider, so its counters include them;
-    without a provider, a fresh one over the matrix counts this search alone.
+    Every row is read through the provider, so its counters include them.
     """
-    if provider is None:
-        provider = DistanceProvider.from_matrix(matrix)
     if matrix.n <= 2:
         return _tiny_result(provider, rr)
 

@@ -92,7 +92,7 @@ def from_arcs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
     np.cumsum(indptr, out=indptr)
     indices, weights = vv.copy(), ww.copy()
     for a in (indptr, indices, weights):
-        a.flags.writeable = False  # shared by searches and copied into list views
+        a.flags.writeable = False  # shared by every search on the graph
     return Graph(n=n, m=uu.size // 2, indptr=indptr, indices=indices, weights=weights)
 
 

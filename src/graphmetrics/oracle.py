@@ -5,12 +5,11 @@ of every speedup measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
 
 import numpy as np
 
 from .graph import Graph
-from .sssp import DisconnectedGraphError, DistanceMatrix, csr_lists, sssp, sssp_vectorized
+from .sssp import DisconnectedGraphError, DistanceMatrix, sssp, sssp_vectorized
 
 DEFAULT_MATRIX_CAP = 20_000  # n*n float64 beyond this is not desk-scale
 
@@ -36,14 +35,10 @@ def apsp_repeated_sssp(g: Graph) -> DistanceMatrix:
 
 
 def dijkstra_matrix(g: Graph) -> DistanceMatrix:
-    """All-pairs distances as one sssp run per vertex, on the fast kernel.
-
-    The rows that hand over to sssp's heap share one list view, built when
-    the first of them needs it; a dense graph's rows never do."""
-    lists = cache(partial(csr_lists, g))
+    """All-pairs distances as one sssp run per vertex, on the fast kernel."""
     rows = np.empty((g.n, g.n))
     for i in range(g.n):
-        rows[i] = sssp(g, i, lists)
+        rows[i] = sssp(g, i)
     return DistanceMatrix(n=g.n, values=rows)
 
 

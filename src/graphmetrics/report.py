@@ -7,20 +7,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
-
-CSV_COLUMNS = [
-    "name",
-    "n",
-    "m",
-    "algo",
-    "value",
-    "sssp_count",
-    "sssp_share",
-    "elapsed_ms",
-    "speedup_vs_baseline",
-    "errors",
-]
+from dataclasses import asdict, dataclass, fields
 
 
 @dataclass
@@ -65,6 +52,9 @@ class BenchRow:
     elapsed_ms: float | None = None
     speedup_vs_baseline: float | None = None
     errors: str = ""
+
+
+CSV_COLUMNS = [f.name for f in fields(BenchRow)]
 
 
 def write_bench_csv(rows: list[BenchRow], fh) -> None:

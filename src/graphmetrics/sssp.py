@@ -5,17 +5,15 @@ its source is whatever the caller asked for. sssp computes one: graphs of
 average degree SPARSE_DEGREE_CUT and up run sssp_vectorized, a heap search
 relaxing each neighborhood with numpy; sparser graphs run numpy relaxation
 rounds over the whole graph and hand the thin tail to a heap that relaxes
-arc by arc in Python. The provider hides whether rows come from an
-on-demand sssp run (Problem 1) or from a precomputed all-pairs matrix
-(Problem 2), and keeps usage statistics so searches can report how little
-of the graph they touched.
+arc by arc in Python, reading the read-only CSR arrays directly. The
+provider hides whether rows come from an on-demand sssp run (Problem 1) or
+from a precomputed all-pairs matrix (Problem 2), and keeps usage statistics
+so searches can report how little of the graph they touched.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,33 +65,16 @@ WARMUP_ROUNDS = 2
 THIN = 32
 
 
-class CsrLists(NamedTuple):
-    """A graph's CSR arrays as Python lists, for the arc-by-arc relaxation."""
-
-    indptr: list[int]
-    indices: list[int]
-    weights: list[float]
-
-
-def csr_lists(g: Graph) -> CsrLists:
-    """The list view sssp's heap relaxes g over."""
-    return CsrLists(g.indptr.tolist(), g.indices.tolist(), g.weights.tolist())
-
-
-def sssp(
-    g: Graph, source: int, lists: Callable[[], CsrLists] | None = None
-) -> np.ndarray:
+def sssp(g: Graph, source: int) -> np.ndarray:
     """Distances from source to every vertex, as a float64 array with
     row[source] == 0.
 
     The kernel follows g's average degree alone. From SPARSE_DEGREE_CUT on
     the row is sssp_vectorized's. Below it the row is found in numpy
     relaxation rounds over the whole CSR; when the rounds thin out, a binary
-    heap (lazy deletion) finishes it arc by arc over the list view that
-    `lists()` returns, or csr_lists(g) without it. A caller that runs many
-    searches on one graph passes a function that builds the view once, on
-    first use, so that rows that converge in rounds, and rows of dense
-    graphs, build nothing. All paths produce the same distances bit for bit.
+    heap (lazy deletion) finishes it arc by arc, reading g's CSR arrays
+    through memoryviews, so nothing is copied or kept between calls. All
+    paths produce the same distances bit for bit.
     """
     n = g.n
     if not 0 <= source < n:
@@ -122,7 +103,10 @@ def sssp(
             if rounds > WARMUP_ROUNDS and count < n // THIN:
                 seeds = np.flatnonzero(lowered).tolist()
                 break
-    indptr, indices, weights = csr_lists(g) if lists is None else lists()
+    # memoryview items are plain Python ints and floats, as list items would
+    # be, but nothing is copied. Indexing one costs more than indexing a
+    # list: long paths pay about 15% per SSSP (CHANGES.md has the table).
+    indptr, indices, weights = map(memoryview, (g.indptr, g.indices, g.weights))
     d = dist.tolist()
     heap = [(d[u], u) for u in seeds]
     heapify(heap)
@@ -198,9 +182,7 @@ class DistanceProvider:
 
     row(source) returns the distance array from source. On-demand mode
     computes rows by sssp and caches them for the provider's lifetime (no
-    eviction). sssp asks its _list_view for the graph's list view, which is
-    built at most once, when a row first hands over to sssp's heap, so never
-    on a dense graph; matrix-backed mode hands out views values[source] of a
+    eviction); matrix-backed mode hands out views values[source] of a
     precomputed DistanceMatrix, cached the same way.
     rows_accessed counts every row read, sssp_count only rows actually
     computed.
@@ -212,7 +194,6 @@ class DistanceProvider:
         self._graph = graph
         self._matrix = matrix
         self._cache: dict[int, np.ndarray] = {}
-        self._lists: CsrLists | None = None  # built by the first row that needs it
         self.sssp_count = 0
         self.rows_accessed = 0
 
@@ -236,13 +217,7 @@ class DistanceProvider:
         if self._matrix is not None:
             row = self._matrix.values[source]
         else:
-            row = sssp(self._graph, source, self._list_view)
+            row = sssp(self._graph, source)
             self.sssp_count += 1
         self._cache[source] = row
         return row
-
-    def _list_view(self) -> CsrLists:
-        """The graph's list view, built when a row first needs the heap."""
-        if self._lists is None:
-            self._lists = csr_lists(self._graph)
-        return self._lists

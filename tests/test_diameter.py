@@ -86,13 +86,13 @@ class TestDiameterP2:
         g1 = build_graph(1, [])
         M1 = apsp_repeated_sssp(g1)
         p1 = DistanceProvider.from_matrix(M1)
-        dr = diameter_p2(M1, find_radius(p1))
+        dr = diameter_p2(M1, find_radius(p1), p1)
         assert (dr.diameter, dr.peripheral_pair) == (0.0, (0, 0))
 
         g2 = build_graph(2, [(0, 1, 4.0)])
         M2 = apsp_repeated_sssp(g2)
         p2 = DistanceProvider.from_matrix(M2)
-        dr = diameter_p2(M2, find_radius(p2))
+        dr = diameter_p2(M2, find_radius(p2), p2)
         assert (dr.diameter, dr.peripheral_pair) == (4.0, (0, 1))
 
 

@@ -1,4 +1,6 @@
 import importlib
+from contextlib import contextmanager
+from heapq import heapify
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from graphmetrics.sssp import (
     SPARSE_DEGREE_CUT,
     DisconnectedGraphError,
     DistanceProvider,
-    csr_lists,
     eccentricity,
     sssp,
     sssp_vectorized,
@@ -113,8 +114,19 @@ def _path(n):
     return build_graph(n, [(i, i + 1, float(rng.uniform(0.0, 100.0))) for i in range(n - 1)])
 
 
-def _no_heap():
-    raise AssertionError("sssp handed over to the heap")
+@contextmanager
+def _heaps_started():
+    """The heaps sssp's heap phase starts, as copies of their seed entries.
+    Only that phase calls heapify; sssp_vectorized pushes onto its heap."""
+    heaps = []
+
+    def spy(heap):
+        heaps.append(list(heap))
+        heapify(heap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sssp_module, "heapify", spy)
+        yield heaps
 
 
 class TestListRelaxation:
@@ -130,28 +142,33 @@ class TestListRelaxation:
     def test_bit_identical_to_vectorized(self, seed, dense, weights, cut_off):
         g = _seeded_graph(seed, dense, weights, cut_off)
         assert dense == (g.average_degree >= SPARSE_DEGREE_CUT)
-        # dense rows run sssp_vectorized and never ask for the list view;
-        # sparse ones run rounds until they thin out, then the heap
-        # (straight to the heap when a vertex has no edges)
-        lists = _no_heap if dense else None
+        # dense rows run sssp_vectorized and never reach the heap; sparse
+        # ones run rounds until they thin out, then the heap (straight to
+        # the heap when a vertex has no edges)
         sources = range(0, g.n, 1 + g.n // 4) if dense else range(g.n)
-        for s in sources:
-            expected = _outcome(sssp_vectorized, g, s)
-            assert _outcome(lambda g, s: sssp(g, s, lists), g, s) == expected
+        with _heaps_started() as heaps:
+            for s in sources:
+                assert _outcome(sssp, g, s) == _outcome(sssp_vectorized, g, s)
+        if dense:
+            assert heaps == []
 
     def test_path_hands_over_after_the_warm_up(self):
         g = _path(300)
         for s in (0, 150, 299):
-            handed = []
-            row = sssp(g, s, lambda: handed.append(s) or csr_lists(g))
-            assert handed == [s]
+            with _heaps_started() as heaps:
+                row = sssp(g, s)
+            assert len(heaps) == 1
+            # seeded with what the first round after the warm-up lowered
+            assert {abs(v - s) for _, v in heaps[0]} == {sssp_module.WARMUP_ROUNDS + 1}
             assert row.tobytes() == sssp_vectorized(g, s).tobytes()
 
     def test_complete_converges_in_rounds(self):
         g = generate(GraphSpec(kind="complete", n=50, seed=0))
         assert g.average_degree < SPARSE_DEGREE_CUT
-        for s in range(g.n):
-            assert sssp(g, s, _no_heap).tobytes() == sssp_vectorized(g, s).tobytes()
+        with _heaps_started() as heaps:
+            for s in range(g.n):
+                assert sssp(g, s).tobytes() == sssp_vectorized(g, s).tobytes()
+        assert heaps == []
 
     @pytest.mark.parametrize("lone", [0, 2, 4])
     def test_vertex_without_edges(self, lone):
@@ -168,11 +185,11 @@ class TestListRelaxation:
 
     def test_disconnected_names_the_same_vertex(self):
         g = build_graph(5, [(0, 3, 1.0), (1, 2, 1.0), (3, 4, 0.0)])
-        searches = (sssp, sssp_vectorized, lambda g, s: sssp(g, s, _no_heap))
-        for search in searches:  # the last converges in rounds with inf left
-            with pytest.raises(DisconnectedGraphError) as exc:
+        for search in (sssp, sssp_vectorized):
+            with _heaps_started() as heaps, pytest.raises(DisconnectedGraphError) as exc:
                 search(g, 4)
             assert (exc.value.source, exc.value.vertex) == (4, 1)
+            assert heaps == []  # sssp converges in rounds with inf left
 
     def test_source_out_of_range(self, path4):
         for source in (-1, 4):
@@ -223,38 +240,6 @@ class TestDistanceProvider:
     def test_rows_identical_to_fresh_sssp(self, star4):
         p = DistanceProvider.on_demand(star4)
         assert np.array_equal(p.row(1), sssp(star4, 1))
-
-    def test_on_demand_builds_the_list_view_once(self, monkeypatch):
-        g = generate(GraphSpec(kind="sparse", n=40, seed=3, target_edges=100))
-        built = []
-
-        def counting_csr_lists(graph):
-            built.append(graph)
-            return csr_lists(graph)
-
-        monkeypatch.setattr(sssp_module, "csr_lists", counting_csr_lists)
-        p = DistanceProvider.on_demand(g)
-        for s in range(g.n):
-            assert p.row(s).tobytes() == sssp_vectorized(g, s).tobytes()
-        assert p.sssp_count == g.n
-        assert len(built) <= 1 and all(b is g for b in built)
-
-    @pytest.mark.parametrize("graph, builds", [
-        (generate(GraphSpec(kind="complete", n=50, seed=0)), 0),  # rows converge in rounds
-        (_path(300), 1),  # rows hand over to the heap
-    ])
-    def test_list_view_built_when_a_row_first_needs_the_heap(self, monkeypatch, graph, builds):
-        built = []
-
-        def counting_csr_lists(g):
-            built.append(g)
-            return csr_lists(g)
-
-        monkeypatch.setattr(sssp_module, "csr_lists", counting_csr_lists)
-        p = DistanceProvider.on_demand(graph)
-        for s in range(0, graph.n, 7):
-            assert p.row(s).tobytes() == sssp_vectorized(graph, s).tobytes()
-        assert built == [graph] * builds
 
     def test_requires_exactly_one_backing(self, path4):
         with pytest.raises(ValueError):
