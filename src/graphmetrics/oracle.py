@@ -53,9 +53,7 @@ def floyd_warshall(g: Graph, max_n: int = DEFAULT_MATRIX_CAP) -> DistanceMatrix:
         raise MemoryError(f"floyd_warshall refused: n={n} exceeds cap {max_n}")
     D = np.full((n, n), np.inf)
     np.fill_diagonal(D, 0.0)
-    for u in range(n):
-        lo, hi = g.indptr[u], g.indptr[u + 1]
-        D[u, g.indices[lo:hi]] = g.weights[lo:hi]
+    D[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = g.weights
     for k in range(n):
         np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
     if np.isinf(D).any():

@@ -8,6 +8,7 @@ from graphmetrics.graph import (
     GraphSpec,
     GraphValidationError,
     check_connected,
+    from_arcs,
     generate,
     load_dimacs,
     write_dimacs,
@@ -80,6 +81,12 @@ class TestLoadDimacs:
     def test_decimal_weights_accepted(self, tmp_path):
         p = write_gr(tmp_path, "p sp 2 1\na 1 2 2.5\n")
         assert edge_list(load_dimacs(p)) == [(0, 1, 2.5)]
+
+    @pytest.mark.parametrize("arcs", ["a 1 2 -0\na 1 2 0\n", "a 1 2 0\na 2 1 -0\n"],
+                             ids=["minus-first", "minus-last"])
+    def test_signed_zero_parallel_arcs_load_as_plus_zero(self, tmp_path, arcs):
+        g = load_dimacs(write_gr(tmp_path, "p sp 2 2\n" + arcs))
+        assert g.weights.tobytes() == np.zeros(2).tobytes()
 
     def test_self_loops_dropped(self, tmp_path):
         p = write_gr(tmp_path, "p sp 2 2\na 1 1 9\na 1 2 1\n")
@@ -159,7 +166,50 @@ def test_write_load_round_trip(tmp_path_factory, seed, kind, weights):
         assert getattr(back, name).tobytes() == getattr(g, name).tobytes()
 
 
+def lexsort_build(n, u, v, w):
+    """from_arcs's CSR arrays and m by a sort on (u, v, w) that keeps each
+    (u, v)'s first arc: the reference the single-key build must match."""
+    w = np.asarray(w, dtype=np.float64) + 0.0
+    uu, vv, ww = np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w])
+    keep = uu != vv
+    uu, vv, ww = uu[keep], vv[keep], ww[keep]
+    if uu.size:
+        order = np.lexsort((ww, vv, uu))
+        uu, vv, ww = uu[order], vv[order], ww[order]
+        first = np.ones(uu.size, dtype=bool)
+        first[1:] = (uu[1:] != uu[:-1]) | (vv[1:] != vv[:-1])
+        uu, vv, ww = uu[first], vv[first], ww[first]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, uu + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, vv, ww, uu.size // 2
+
+
+@st.composite
+def multigraphs(draw):
+    """Few vertices and many arcs: self-loops, parallel arcs both ways with
+    equal, distinct and signed-zero weights, isolated vertices, no arcs."""
+    n = draw(st.integers(1, 7))
+    ids = st.integers(0, n - 1)
+    weight = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0]), st.floats(0.0, 1e9))
+    arcs = draw(st.lists(st.tuples(ids, ids, weight), max_size=30))
+    u, v, w = zip(*arcs) if arcs else ((), (), ())
+    return n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), np.array(w)
+
+
 class TestFromArcs:
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs())
+    def test_same_bytes_as_the_lexsort_build(self, drawn):
+        n, u, v, w = drawn
+        g = from_arcs(n, u, v, w)
+        indptr, indices, weights, m = lexsort_build(n, u, v, w)
+        assert g.m == m
+        for got, want in ((g.indptr, indptr), (g.indices, indices), (g.weights, weights)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert not np.signbit(g.weights).any()
+
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
     def test_non_finite_weight_rejected(self, weight):
         with pytest.raises(GraphValidationError, match="non-finite"):
