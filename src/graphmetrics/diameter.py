@@ -6,13 +6,19 @@ read each, of the vertices the triangle inequality through the center cannot
 rule out. The matrix-backed variant scans every vertex farther than half the
 bound from the center. The on-demand variant visits vertices in descending
 center distance (iFUB order) and stops at the first position where the two
-largest remaining center distances sum to no more than the bound.
+largest remaining center distances sum to no more than the bound. It also
+bounds every vertex from above by the rows it already holds,
+ecc(k) <= d(x, k) + ecc(x) for each held row x, and passes over a vertex
+without an SSSP where that bound cannot beat the current lower bound.
 
 Both report the peripheral pair (k, l) with the distance d(k, l) read from
 row k. With float weights the same shortest path summed from l can differ by
 one ulp, so an all-pairs oracle whose maximum takes the pair from the other
 end may differ from the reported diameter in the last bit. Integer weights
-sum exactly, and the two agree.
+sum exactly, and the two agree. For the same reason the held-row bound is
+exact with integer weights; with float weights it can, like the center-sum
+stop, pass over a pair that beats the lower bound only by summation-order
+ulps.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ import numpy as np
 
 from .graph import Graph
 from .radius import RadiusResult
-from .sssp import DistanceMatrix, DistanceProvider
+from .sssp import DistanceMatrix, DistanceProvider, eccentricity
 
 
 @dataclass(frozen=True)
@@ -31,6 +37,7 @@ class DiameterResult:
     peripheral_pair: tuple[int, int]
     d_lower_trace: list[float]
     vertices_scanned: int
+    vertices_bounded: int  # passed over by the held-row bound, without an SSSP
     pairs_checked: int
     sssp_count: int
     rows_accessed: int
@@ -69,6 +76,7 @@ def _result(
     pair: tuple[int, int],
     trace: list[float],
     vertices_scanned: int = 0,
+    vertices_bounded: int = 0,
     pairs_checked: int = 0,
 ) -> DiameterResult:
     return DiameterResult(
@@ -76,6 +84,7 @@ def _result(
         peripheral_pair=pair,
         d_lower_trace=trace,
         vertices_scanned=vertices_scanned,
+        vertices_bounded=vertices_bounded,
         pairs_checked=pairs_checked,
         sssp_count=provider.sssp_count,
         rows_accessed=provider.rows_accessed,
@@ -136,6 +145,11 @@ def diameter_p1(
     vertex is in. Any two vertices not yet visited are at most
     sd[i] + sd[i + 1] apart (triangle inequality through the center), so the
     scan stops at the first position where that sum cannot beat the bound.
+    Every row the provider holds, from the radius search or from this scan,
+    bounds each vertex k from above by ub[k] = min over held x of
+    d(x, k) + ecc(x) (Takes & Kosters, Algorithms 2013). A vertex whose row
+    is not held and whose ub cannot beat the bound is passed over without
+    an SSSP: its row could not raise the bound.
     """
     n = g.n
     if n <= 2:
@@ -145,24 +159,40 @@ def diameter_p1(
     ids = build_candidate_order(center_row)
     order, sd = ids.tolist(), center_row[ids].tolist()
 
+    # (ecc, farthest vertex) of each held row, each maximum taken once
+    far: dict[int, tuple[float, int]] = {}
+    ub = np.full(n, np.inf)
+
+    def hold(x: int, row: np.ndarray) -> None:
+        far[x] = eccentricity(row)
+        np.minimum(ub, row + far[x][0], out=ub)
+
+    for x, row in provider.held_rows().items():
+        hold(x, row)
+
     d_l, pair = initial_lower_bound(rr.pivots, provider)
     trace = [d_l]
-    pairs_checked = scanned = 0
+    pairs_checked = scanned = bounded = 0
     for i in range(n - 1):
         pairs_checked += 1
         if sd[i] + sd[i + 1] <= d_l:
             break
         k = order[i]
-        row = provider.row(k)
-        l = int(row.argmax())
+        if k in far:
+            provider.row(k)  # held: a read without an SSSP
+        elif ub[k] <= d_l:
+            bounded += 1
+            continue
+        else:
+            hold(k, provider.row(k))
         scanned += 1
-        v = float(row[l])
+        v, l = far[k]
         if v > d_l:
             d_l = v
             pair = (k, l)
             trace.append(d_l)
 
     return _result(
-        provider, rr, d_l, pair, trace,
-        vertices_scanned=scanned, pairs_checked=pairs_checked,
+        provider, rr, d_l, pair, trace, vertices_scanned=scanned,
+        vertices_bounded=bounded, pairs_checked=pairs_checked,
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,11 @@ class Graph:
     @property
     def average_degree(self) -> float:
         return 2.0 * self.m / self.n if self.n else 0.0
+
+    @cached_property
+    def every_vertex_has_arc(self) -> bool:
+        """True iff no vertex has degree 0; found once per graph."""
+        return bool((self.indptr[1:] > self.indptr[:-1]).all())
 
 
 def from_arcs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:

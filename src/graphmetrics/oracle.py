@@ -54,8 +54,10 @@ def floyd_warshall(g: Graph, max_n: int = DEFAULT_MATRIX_CAP) -> DistanceMatrix:
     D = np.full((n, n), np.inf)
     np.fill_diagonal(D, 0.0)
     D[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = g.weights
+    tmp = np.empty_like(D)  # one temporary for every step
     for k in range(n):
-        np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
+        np.add(D[:, k, None], D[None, k, :], out=tmp)
+        np.minimum(D, tmp, out=D)
     if np.isinf(D).any():
         raise DisconnectedGraphError(0, int(np.flatnonzero(np.isinf(D[0]))[0]))
     return DistanceMatrix(n=n, values=D)

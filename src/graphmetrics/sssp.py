@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class DistanceMatrix:
 # sparse:2000:80000 (degree 80) 7.6 vs 9.2, complete:200 0.95 vs 0.86,
 # complete:400 5.2 vs 2.0, complete:1000 51 vs 6.9. So the crossover lies
 # between degree 80 and 200; the cut stays until a benchmark workload runs
-# SSSPs at degree 64 or more (ROADMAP item 0).
+# SSSPs at degree 64 or more (ROADMAP item 2).
 SPARSE_DEGREE_CUT = 64.0
 
 # Below the cut sssp first relaxes every arc at once per round (Delta-stepping,
@@ -84,12 +85,11 @@ def sssp(g: Graph, source: int) -> np.ndarray:
     dist = np.full(n, np.inf)
     dist[source] = 0.0
     seeds = [source]
-    indptr = g.indptr
     # reduceat would give a vertex without arcs the next vertex's first arc
     # (or read past the end for the last vertex), so such graphs skip the
     # rounds; with n > 1 they are disconnected, and the heap names the vertex.
-    if (indptr[1:] > indptr[:-1]).all():
-        starts, indices, weights = indptr[:-1], g.indices, g.weights
+    if g.every_vertex_has_arc:
+        starts, indices, weights = g.indptr[:-1], g.indices, g.weights
         rounds = 0
         while True:
             new = np.minimum.reduceat(dist[indices] + weights, starts)
@@ -125,10 +125,9 @@ def sssp(g: Graph, source: int) -> np.ndarray:
 
 def _checked(dist: np.ndarray, source: int) -> np.ndarray:
     """dist, or DisconnectedGraphError naming its smallest unreachable id."""
-    unreachable = np.flatnonzero(np.isinf(dist))
-    if unreachable.size:
-        raise DisconnectedGraphError(source, int(unreachable[0]))
-    return dist
+    if dist.max() < np.inf:
+        return dist
+    raise DisconnectedGraphError(source, int(np.isinf(dist).argmax()))
 
 
 def sssp_vectorized(g: Graph, source: int) -> np.ndarray:
@@ -185,7 +184,7 @@ class DistanceProvider:
     eviction); matrix-backed mode hands out views values[source] of a
     precomputed DistanceMatrix, cached the same way.
     rows_accessed counts every row read, sssp_count only rows actually
-    computed.
+    computed. held_rows shows the cached rows without reading any.
     """
 
     def __init__(self, graph: Graph | None = None, matrix: DistanceMatrix | None = None):
@@ -208,6 +207,13 @@ class DistanceProvider:
     @property
     def n(self) -> int:
         return self._graph.n if self._graph is not None else self._matrix.n
+
+    def held_rows(self) -> MappingProxyType:
+        """A live read-only view {source: row} of the rows the provider holds.
+
+        Looking at it is not a row read: rows_accessed does not change.
+        """
+        return MappingProxyType(self._cache)
 
     def row(self, source: int) -> np.ndarray:
         self.rows_accessed += 1

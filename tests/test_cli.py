@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmetrics import cli as cli_module
 from graphmetrics.cli import main, parse_gen_spec
@@ -186,6 +190,89 @@ class TestMetricsCommand:
     def test_memory_guard_on_p2(self, tmp_path, capsys):
         assert main(["metrics", "--gen", "sparse:30:seed=0", "--mode", "p2",
                      "--max-matrix-n", "10"]) == 2
+
+
+NON_NUMERIC = st.sampled_from(["x", "0x2", "1,5", "--1", "2e"])
+
+
+@st.composite
+def corrupt_dimacs(draw):
+    """(file bytes, 1-based number of the changed line, expected message)."""
+    n = draw(st.integers(2, 8))
+    lines = ["c a valid file", f"p sp {n} {n - 1}"] + [
+        f"a {draw(st.integers(1, v - 1))} {v} {draw(st.integers(0, 9))}" for v in range(2, n + 1)
+    ]
+    arc = draw(st.integers(2, len(lines) - 1))  # 0-based index of an arc line
+    kind = draw(st.sampled_from([
+        "field count", "non-numeric", "id out of range", "negative weight",
+        "nan weight", "infinite weight", "unknown line type", "duplicate header",
+        "arc before header", "not utf-8",
+    ]))
+    if kind == "arc before header":
+        i = 0
+    elif kind in ("field count", "non-numeric", "unknown line type", "not utf-8"):
+        i = draw(st.sampled_from([1, arc]))  # the header or an arc line
+    else:
+        i = arc
+    parts = lines[i].split()
+    header = parts[0] == "p"
+    if kind == "field count":
+        parts = parts[:-1] if draw(st.booleans()) else parts + [draw(st.sampled_from(["1", "x"]))]
+        fault = "malformed header" if header else "malformed arc"
+    elif kind == "non-numeric":
+        parts[draw(st.integers(2, 3) if header else st.integers(1, 3))] = draw(NON_NUMERIC)
+        fault = "non-integer header fields" if header else "non-numeric arc fields"
+    elif kind == "id out of range":
+        bad = draw(st.one_of(st.integers(max_value=0), st.integers(min_value=n + 1)))
+        parts[draw(st.integers(1, 2))] = str(bad)
+        fault = f"vertex id out of range [1, {n}]"
+    elif kind == "negative weight":
+        w = draw(st.floats(max_value=0.0, exclude_max=True, allow_nan=False))
+        parts[3] = repr(w)
+        fault = f"negative weight {w}"
+    elif kind == "nan weight":
+        parts[3] = draw(st.sampled_from(["nan", "NaN", "-nan"]))
+        fault = "non-finite weight nan"
+    elif kind == "infinite weight":
+        parts[3] = draw(st.sampled_from(["inf", "Infinity", "1e999"]))
+        fault = "non-finite weight inf"
+    elif kind == "unknown line type":
+        parts[0] = draw(st.text("abdefpqxyzAC01#%*", min_size=1, max_size=3).filter(
+            lambda t: t not in ("a", "p") and not t.startswith("c")))
+        fault = f"unknown line type {parts[0]!r}"
+    elif kind == "duplicate header":
+        parts = lines[1].split()
+        fault = "duplicate problem line"
+    elif kind == "arc before header":
+        parts = lines[2].split()
+        fault = "arc before 'p sp' header"
+    data = [line.encode() for line in lines]
+    data[i] = " ".join(parts).encode()
+    if kind == "not utf-8":
+        byte = draw(st.integers(0x80, 0xFF))
+        at = draw(st.integers(0, len(data[i])))
+        data[i] = data[i][:at] + bytes([byte]) + data[i][at:]
+        fault = f"byte 0x{byte:02x} is not UTF-8 text"
+    return b"\n".join(data) + b"\n", i + 1, fault
+
+
+class TestCorruptDimacs:
+    @settings(max_examples=300, deadline=None)
+    @given(corrupt_dimacs())
+    def test_one_bad_line_is_named(self, tmp_path_factory, case):
+        data, lineno, fault = case
+        path = tmp_path_factory.mktemp("corrupt") / "g.gr"
+        path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["metrics", "--input", str(path)])
+        assert code == 2
+        assert err.getvalue().startswith(f"error: line {lineno}: {fault}"), err.getvalue()
+
+    def test_unchanged_file_is_valid(self, tmp_path):
+        path = tmp_path / "g.gr"
+        path.write_text("c a valid file\np sp 3 2\na 1 2 0\na 1 3 9\n")
+        assert main(["metrics", "--input", str(path)]) == 0
 
 
 class TestOracleCommand:

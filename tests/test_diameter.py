@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmetrics.diameter import (
     build_candidate_order,
@@ -106,6 +108,7 @@ class TestDiameterP2:
         # pivot rows for the initial bound, the center row, the scanned rows
         assert dr.rows_accessed - rr.rows_accessed == len(rr.pivots) + 1 + dr.vertices_scanned
         assert dr.vertices_scanned > 0
+        assert dr.vertices_bounded == 0
 
 
 class TestDiameterP1:
@@ -148,6 +151,108 @@ class TestDiameterP1:
         # pivot rows for the initial bound, the center row, one read per scanned row
         assert dr.rows_accessed - rr.rows_accessed == len(rr.pivots) + 1 + dr.vertices_scanned
         assert dr.vertices_scanned > 0
+
+
+def held_upper_bound(provider):
+    """Per vertex k, the least d(x, k) + ecc(x) over the rows x the provider holds."""
+    rows = np.array(list(provider.held_rows().values()))
+    return (rows + rows.max(axis=1, keepdims=True)).min(axis=0)
+
+
+def ifub_scan(g):
+    """D1 without the held-row bound, on a fresh provider: every visited
+    vertex's row is read. (diameter, pair, trace, pairs checked, visited)."""
+    provider = DistanceProvider.on_demand(g)
+    rr = find_radius(provider)
+    center_row = provider.row(rr.center)
+    ids = build_candidate_order(center_row)
+    sd = center_row[ids]
+    d_l, pair = initial_lower_bound(rr.pivots, provider)
+    trace = [d_l]
+    for i in range(g.n - 1):
+        if sd[i] + sd[i + 1] <= d_l:
+            return d_l, pair, trace, i + 1, i
+        row = provider.row(int(ids[i]))
+        l = int(row.argmax())
+        if row[l] > d_l:
+            d_l, pair = float(row[l]), (int(ids[i]), l)
+            trace.append(d_l)
+    return d_l, pair, trace, g.n - 1, g.n - 1
+
+
+class TestHeldRowBound:
+    def test_held_rows_are_not_row_reads(self, path4):
+        p = DistanceProvider.on_demand(path4)
+        p.row(2)
+        held = p.held_rows()
+        assert list(held) == [2] and p.rows_accessed == 1
+        with pytest.raises(TypeError):
+            held[0] = np.zeros(4)
+        p.row(0)
+        assert list(held) == [2, 0]  # a live view
+        assert (p.rows_accessed, p.sssp_count) == (2, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["complete", "sparse"]),
+        n=st.integers(3, 80),
+        extra=st.floats(0.0, 2.0),
+        whi=st.sampled_from([0, 1, 3, 100]),
+    )
+    def test_sound_with_integer_weights(self, seed, kind, n, extra, whi):
+        g = generate(GraphSpec(
+            kind=kind, n=n, seed=seed, weight_range=(0.0, float(whi)), integer_weights=True,
+            target_edges=n - 1 + int(extra * n) if kind == "sparse" else None,
+        ))
+        M = apsp_repeated_sssp(g)
+        ecc = M.values.max(axis=1)
+        p = DistanceProvider.on_demand(g)
+        rr = find_radius(p)
+        assert (held_upper_bound(p) >= ecc).all()
+        dr = diameter_p1(g, rr, p)
+        assert (held_upper_bound(p) >= ecc).all()
+        assert dr.diameter == scan_metrics(M).diameter == M.values[dr.peripheral_pair]
+        assert dr.vertices_scanned + dr.vertices_bounded <= dr.pairs_checked
+        # A passed-over row could not have raised the bound: the scan is unchanged.
+        d_l, pair, trace, pairs_checked, visited = ifub_scan(g)
+        assert (dr.diameter, dr.peripheral_pair, dr.d_lower_trace) == (d_l, pair, trace)
+        assert dr.pairs_checked == pairs_checked
+        assert dr.vertices_scanned + dr.vertices_bounded == visited
+        assert dr.rows_accessed - rr.rows_accessed == len(rr.pivots) + 1 + dr.vertices_scanned
+
+    def test_same_scan_as_without_the_bound(self):
+        """Over many graphs the bound passes over vertices, and the scan's
+        answer, trace and pairs checked stay those of the plain iFUB scan."""
+        bounded = 0
+        for seed in range(400):
+            n = 10 + seed % 60
+            g = generate(GraphSpec(
+                kind=("complete", "sparse")[seed % 2], n=n, seed=seed,
+                weight_range=(0.0, (3.0, 100.0)[seed % 3 > 0]), integer_weights=True,
+                target_edges=2 * n,
+            ))
+            p = DistanceProvider.on_demand(g)
+            dr = diameter_p1(g, find_radius(p), p)
+            d_l, pair, trace, pairs_checked, visited = ifub_scan(g)
+            assert (dr.diameter, dr.peripheral_pair, dr.d_lower_trace) == (d_l, pair, trace), seed
+            assert (dr.pairs_checked, dr.vertices_scanned + dr.vertices_bounded) == (
+                pairs_checked, visited)
+            bounded += dr.vertices_bounded
+        assert bounded > 100
+
+    def test_float_pair_is_read_from_row_k(self):
+        """With float weights D1 reports d(k, l) as row k holds it. Here the
+        bound passes over one vertex, and the oracle's maximum, d(l, k) read
+        from row l, is one ulp larger."""
+        g = generate(GraphSpec(kind="complete", n=12, seed=267))
+        M = apsp_repeated_sssp(g)
+        p = DistanceProvider.on_demand(g)
+        dr = diameter_p1(g, find_radius(p), p)
+        k, l = dr.peripheral_pair
+        assert (k, l) == (3, 7) and dr.vertices_bounded == 1
+        assert dr.diameter == M.values[k, l]
+        assert scan_metrics(M).diameter == M.values[l, k] == np.nextafter(dr.diameter, np.inf)
 
 
 class TestZeroDiameter:

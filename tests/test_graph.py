@@ -221,6 +221,11 @@ class TestFromArcs:
         # n - 1 edges of the largest weight still sum to a finite distance
         assert build_graph(3, [(0, 1, 8e307), (1, 2, 8e307)]).m == 2
 
+    def test_every_vertex_has_arc(self, path4):
+        assert path4.every_vertex_has_arc
+        assert not build_graph(3, [(0, 1, 1.0)]).every_vertex_has_arc
+        assert not build_graph(1, []).every_vertex_has_arc
+
     @pytest.mark.parametrize("name", ["indptr", "indices", "weights"])
     def test_csr_arrays_are_read_only(self, path4, name):
         with pytest.raises(ValueError, match="read-only"):
