@@ -22,7 +22,7 @@ from .oracle import (
     scan_metrics,
     scan_radius,
 )
-from .radius import PivotState, RadiusResult, far_pair, find_radius
+from .radius import RadiusResult, far_pair, find_radius
 from .sssp import (
     DisconnectedGraphError,
     DistanceMatrix,
@@ -41,7 +41,6 @@ __all__ = [
     "GraphSpec",
     "GraphValidationError",
     "OracleMetrics",
-    "PivotState",
     "RadiusResult",
     "apsp_repeated_sssp",
     "check_connected",

@@ -113,6 +113,8 @@ def load_dimacs(path) -> Graph:
     The file must hold exactly m arc lines. The reverse direction of each
     arc is added if absent. The text is UTF-8: a byte that is not is ignored
     in a comment and a DimacsParseError naming its line anywhere else.
+    Header and arc lines must be ASCII without "_": Python's int() and
+    float() read "1_0" and non-ASCII digits, which DIMACS numbers lack.
     """
     n = m = None
     us: list[int] = []
@@ -131,6 +133,8 @@ def load_dimacs(path) -> Graph:
                     if len(parts) != 4 or parts[1] != "sp":
                         raise DimacsParseError(f"line {lineno}: malformed header {line!r}")
                     try:
+                        if "_" in line or not line.isascii():
+                            raise ValueError  # int() reads "1_0" and non-ASCII digits
                         n, m = int(parts[2]), int(parts[3])
                     except ValueError:
                         raise DimacsParseError(
@@ -146,6 +150,8 @@ def load_dimacs(path) -> Graph:
                     if len(parts) != 4:
                         raise DimacsParseError(f"line {lineno}: malformed arc {line!r}")
                     try:
+                        if "_" in line or not line.isascii():
+                            raise ValueError  # int() and float() read "1_0" and non-ASCII digits
                         a, b = int(parts[1]), int(parts[2])
                         weight = float(parts[3])
                     except ValueError:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .sssp import DisconnectedGraphError, DistanceMatrix, sssp, sssp_vectorized
+from .sssp import DistanceMatrix, _checked, sssp, sssp_vectorized
 
 DEFAULT_MATRIX_CAP = 20_000  # n*n float64 beyond this is not desk-scale
 
@@ -31,7 +31,7 @@ def apsp_repeated_sssp(g: Graph) -> DistanceMatrix:
     rows = np.empty((g.n, g.n))
     for i in range(g.n):
         rows[i] = sssp_vectorized(g, i)
-    return DistanceMatrix(n=g.n, values=rows)
+    return DistanceMatrix(rows)
 
 
 def dijkstra_matrix(g: Graph) -> DistanceMatrix:
@@ -39,7 +39,7 @@ def dijkstra_matrix(g: Graph) -> DistanceMatrix:
     rows = np.empty((g.n, g.n))
     for i in range(g.n):
         rows[i] = sssp(g, i)
-    return DistanceMatrix(n=g.n, values=rows)
+    return DistanceMatrix(rows)
 
 
 def floyd_warshall(g: Graph, max_n: int = DEFAULT_MATRIX_CAP) -> DistanceMatrix:
@@ -58,9 +58,8 @@ def floyd_warshall(g: Graph, max_n: int = DEFAULT_MATRIX_CAP) -> DistanceMatrix:
     for k in range(n):
         np.add(D[:, k, None], D[None, k, :], out=tmp)
         np.minimum(D, tmp, out=D)
-    if np.isinf(D).any():
-        raise DisconnectedGraphError(0, int(np.flatnonzero(np.isinf(D[0]))[0]))
-    return DistanceMatrix(n=n, values=D)
+    _checked(D[0], 0)  # undirected: some entry is inf exactly when row 0 holds one
+    return DistanceMatrix(D)
 
 
 def scan_radius(M: DistanceMatrix) -> tuple[float, int]:

@@ -1,69 +1,21 @@
 """Pivot-driven center and radius search.
 
 A small set of pivot vertices bounds every vertex's eccentricity from below
-(max distance to any pivot). The search repeatedly verifies the most
-promising candidate center until the lower and upper radius bounds meet,
-touching only a small fraction of the graph's distance rows.
+(max distance to any pivot). find_radius keeps these bounds in one array,
+the elementwise maximum of the pivot rows, and repeatedly verifies the
+candidate center with the smallest bound until the lower and upper radius
+bounds meet, touching only a small fraction of the graph's distance rows.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .sssp import DistanceProvider, eccentricity
 
 FAR_PAIR_CAP = 64  # ties can make the far-pair walk cycle; any pair is sound
-
-
-@dataclass
-class PivotState:
-    """Mutable search state: pivots, per-vertex pivot maxima and bounds.
-
-    pivot_max[v] is the largest distance from v to any pivot, a lower bound
-    on ecc(v). An examined vertex is pinned at +inf: its eccentricity is
-    known and at least r_upper, so it no longer bounds the radius and
-    candidate selection is a single argmin.
-    """
-
-    n: int
-    pivot_max: np.ndarray | None = None  # None until the first pivot
-    examined_count: int = 0
-    pivots: list[int] = field(default_factory=list)
-    r_lower: float = 0.0
-    r_upper: float = math.inf
-    best_center: int | None = None
-
-    def update_pivot_max(self, pivot: int, row: np.ndarray) -> None:
-        """Fold a new pivot's distance row into the per-vertex maxima."""
-        if pivot in self.pivots:
-            return  # duplicate pivot adds no information
-        if self.pivot_max is None:
-            self.pivot_max = row.copy()
-        else:
-            # max(inf, x) == inf keeps examined entries pinned
-            np.maximum(self.pivot_max, row, out=self.pivot_max)
-        self.pivots.append(pivot)
-
-    def mark_examined(self, v: int) -> None:
-        if self.pivot_max[v] != math.inf:
-            self.pivot_max[v] = math.inf
-            self.examined_count += 1
-
-    def select_candidate(self) -> tuple[int, float] | None:
-        """Unexamined vertex with the smallest pivot-max bound.
-
-        Every unexamined vertex has ecc(v) >= pivot_max[v] and every examined
-        one has ecc(v) >= r_upper, so the radius is at least the smaller of
-        the smallest unexamined entry and r_upper. Returns None when every
-        vertex has been examined.
-        """
-        if self.examined_count == self.n:
-            return None
-        c = int(self.pivot_max.argmin())
-        self.r_lower = max(self.r_lower, min(float(self.pivot_max[c]), self.r_upper))
-        return c, self.r_lower
 
 
 def far_pair(provider: DistanceProvider) -> tuple[int, int]:
@@ -104,41 +56,55 @@ class RadiusResult:
 def find_radius(provider: DistanceProvider) -> RadiusResult:
     """Exact radius and one center via pivot bounds and candidate checks.
 
-    Loop: pick the unexamined vertex with the smallest pivot-max bound,
-    verify its true eccentricity (tightening the upper bound), and if the
-    bounds have not met, add its farthest vertex as a new pivot. Candidates
-    are never re-examined, so the loop ends after at most n verifications;
-    if it runs out of candidates every eccentricity is known and the best
-    seen is exact.
+    bound[v] is the largest distance from v to any pivot so far, a lower
+    bound on ecc(v). Loop: pick the unexamined vertex with the smallest
+    bound, verify its true eccentricity (tightening the upper bound), and if
+    the bounds have not met, add its farthest vertex as a new pivot.
+
+    An examined vertex is pinned at +inf in bound: its eccentricity is known
+    and at least r_upper, so it no longer bounds the radius, and picking a
+    candidate stays a single argmin (max(inf, x) == inf keeps it pinned as
+    pivots are folded in). Every unexamined vertex has ecc(v) >= bound[v]
+    and every examined one has ecc(v) >= r_upper, so the radius is at least
+    the smaller of the least unexamined bound and r_upper: that is r_lower.
+    Candidates are never re-examined, so the loop ends after at most n
+    verifications; if it runs out of candidates every eccentricity is known
+    and the best seen is exact.
     """
     n = provider.n
     p1, p2 = far_pair(provider)
-    state = PivotState(n)
-    state.update_pivot_max(p1, provider.row(p1))
-    state.update_pivot_max(p2, provider.row(p2))
+    bound = provider.row(p1).copy()  # a view would write +inf into a matrix
+    pivots = [p1]
+    row = provider.row(p2)
+    if p2 != p1:
+        np.maximum(bound, row, out=bound)
+        pivots.append(p2)
+    r_lower, r_upper = 0.0, math.inf
+    center = None
+    examined = 0
     trace: list[tuple[float, float]] = []
 
-    while True:
-        picked = state.select_candidate()
-        if picked is None:
+    while examined < n:
+        c = int(bound.argmin())
+        r_lower = max(r_lower, min(float(bound[c]), r_upper))
+        bound[c] = math.inf
+        examined += 1
+        ecc, far_v = eccentricity(provider.row(c))
+        if ecc < r_upper:
+            r_upper, center = ecc, c
+        trace.append((r_lower, r_upper))
+        if r_lower >= r_upper:
             break
-        c, _ = picked
-        state.mark_examined(c)
-        row = provider.row(c)
-        ecc, far_v = eccentricity(row)
-        if ecc < state.r_upper:
-            state.r_upper = ecc
-            state.best_center = c
-        trace.append((state.r_lower, state.r_upper))
-        if state.r_lower >= state.r_upper:
-            break
-        state.update_pivot_max(far_v, provider.row(far_v))
+        row = provider.row(far_v)  # read even when far_v is a pivot: rows_accessed counts it
+        if far_v not in pivots:  # a known pivot adds no information
+            np.maximum(bound, row, out=bound)
+            pivots.append(far_v)
 
     return RadiusResult(
-        radius=state.r_upper,
-        center=state.best_center,
-        pivots=list(state.pivots),
-        candidates_examined=state.examined_count,
+        radius=r_upper,
+        center=center,
+        pivots=pivots,
+        candidates_examined=examined,
         sssp_count=provider.sssp_count,
         rows_accessed=provider.rows_accessed,
         bound_trace=trace,

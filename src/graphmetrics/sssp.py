@@ -34,8 +34,11 @@ class DisconnectedGraphError(RuntimeError):
 class DistanceMatrix:
     """Dense n x n shortest-path distances (zero diagonal, symmetric)."""
 
-    n: int
     values: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
 
 
 # Average degree (2m/n) from which sssp runs sssp_vectorized instead of the

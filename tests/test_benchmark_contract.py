@@ -49,6 +49,10 @@ def test_traced_worker_run(tmp_path, workload):
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["errors"] == []
     assert result["layers"]["check.counter_mismatches"] == 0
+    if workload.endswith("-p1"):
+        # the tracer counts far_pair's SSSPs by wrapping radius.far_pair, so
+        # a search that stopped calling it by that name would read 0 here
+        assert result["layers"]["radius.far_pair_sssp_calls"] > 0
 
 
 # The runner checks each graph the worker builds against reference.build_csr

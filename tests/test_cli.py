@@ -193,6 +193,10 @@ class TestMetricsCommand:
 
 
 NON_NUMERIC = st.sampled_from(["x", "0x2", "1,5", "--1", "2e"])
+# Digits of other scripts that int() and float() read as 0-9, and spaces
+# that str.split() splits on; DIMACS numbers and separators are ASCII.
+OTHER_DIGITS = st.sampled_from([0x0660, 0x0966, 0xFF10])  # Arabic-Indic, Devanagari, fullwidth
+OTHER_SPACES = st.sampled_from(["\u00a0", "\u2003", "\u3000"])
 
 
 @st.composite
@@ -206,11 +210,12 @@ def corrupt_dimacs(draw):
     kind = draw(st.sampled_from([
         "field count", "non-numeric", "id out of range", "negative weight",
         "nan weight", "infinite weight", "unknown line type", "duplicate header",
-        "arc before header", "not utf-8",
+        "arc before header", "not utf-8", "underscore", "other digits", "other space",
     ]))
     if kind == "arc before header":
         i = 0
-    elif kind in ("field count", "non-numeric", "unknown line type", "not utf-8"):
+    elif kind in ("field count", "non-numeric", "unknown line type", "not utf-8",
+                  "underscore", "other digits", "other space"):
         i = draw(st.sampled_from([1, arc]))  # the header or an arc line
     else:
         i = arc
@@ -221,6 +226,15 @@ def corrupt_dimacs(draw):
         fault = "malformed header" if header else "malformed arc"
     elif kind == "non-numeric":
         parts[draw(st.integers(2, 3) if header else st.integers(1, 3))] = draw(NON_NUMERIC)
+        fault = "non-integer header fields" if header else "non-numeric arc fields"
+    elif kind in ("underscore", "other digits", "other space"):
+        # int(), float() and split() read the line as before, so only the check rejects it
+        at = draw(st.integers(2, 3) if header else st.integers(1, 3))
+        if kind == "underscore":
+            parts[at] = "0_" + parts[at]
+        elif kind == "other digits":
+            zero = draw(OTHER_DIGITS)
+            parts[at] = "".join(chr(zero + int(d)) for d in parts[at])
         fault = "non-integer header fields" if header else "non-numeric arc fields"
     elif kind == "id out of range":
         bad = draw(st.one_of(st.integers(max_value=0), st.integers(min_value=n + 1)))
@@ -247,7 +261,7 @@ def corrupt_dimacs(draw):
         parts = lines[2].split()
         fault = "arc before 'p sp' header"
     data = [line.encode() for line in lines]
-    data[i] = " ".join(parts).encode()
+    data[i] = (draw(OTHER_SPACES) if kind == "other space" else " ").join(parts).encode()
     if kind == "not utf-8":
         byte = draw(st.integers(0x80, 0xFF))
         at = draw(st.integers(0, len(data[i])))

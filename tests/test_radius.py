@@ -1,12 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
 from graphmetrics.graph import GraphSpec, generate
 from graphmetrics.oracle import apsp_repeated_sssp, scan_metrics
-from graphmetrics.radius import PivotState, far_pair, find_radius
-from graphmetrics.sssp import DistanceProvider, sssp
+from graphmetrics.diameter import diameter_p2
+from graphmetrics.radius import RadiusResult, far_pair, find_radius
+from graphmetrics.sssp import DistanceProvider
 
 from conftest import build_graph
 
@@ -52,63 +51,6 @@ class TestFarPair:
         rng = np.random.default_rng(1)
         sample = M[rng.integers(0, 100, 50), rng.integers(0, 100, 50)]
         assert M[p1, p2] >= sample.max()
-
-
-class TestPivotState:
-    def _state_with_pivots(self, g, pivots):
-        state = PivotState(g.n)
-        for p in pivots:
-            state.update_pivot_max(p, sssp(g, p))
-        return state
-
-    def test_select_candidate_path(self, path4):
-        state = self._state_with_pivots(path4, [0, 3])
-        assert state.pivot_max.tolist() == [3.0, 2.0, 2.0, 3.0]
-        c, r_l = state.select_candidate()
-        assert (c, r_l) == (1, 2.0)
-
-    def test_select_candidate_skips_examined(self):
-        g = build_graph(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)])
-        state = self._state_with_pivots(g, [0, 1])
-        state.mark_examined(0)
-        state.mark_examined(1)
-        c, r_l = state.select_candidate()
-        assert (c, r_l) == (2, 1.0)
-
-    def test_exhaustion_signal(self):
-        g = build_graph(2, [(0, 1, 1.0)])
-        state = self._state_with_pivots(g, [0])
-        state.mark_examined(0)
-        state.mark_examined(1)
-        assert state.select_candidate() is None
-
-    def test_update_is_elementwise_max(self, path4):
-        state = self._state_with_pivots(path4, [0, 3])
-        state.update_pivot_max(1, sssp(path4, 1))  # row [1,0,1,2]
-        assert state.pivot_max.tolist() == [3.0, 2.0, 2.0, 3.0]
-
-    def test_first_row_becomes_pivot_max(self, path4):
-        state = PivotState(4)
-        row = sssp(path4, 2)
-        state.update_pivot_max(2, row)
-        assert state.pivot_max.tolist() == row.tolist()
-
-    def test_duplicate_pivot_is_noop(self, path4):
-        state = self._state_with_pivots(path4, [0])
-        state.update_pivot_max(0, sssp(path4, 0))
-        assert state.pivots == [0]
-
-    def test_pivot_max_matches_brute_force(self):
-        g = generate(GraphSpec(kind="sparse", n=40, seed=2, target_edges=100))
-        M = apsp_repeated_sssp(g).values
-        pivots = [3, 17, 8, 25]
-        state = PivotState(g.n)
-        for p in pivots:
-            state.update_pivot_max(p, M[p])
-        state.mark_examined(5)  # examined entries are pinned at +inf
-        expected = M[pivots].max(axis=0)
-        expected[5] = math.inf
-        np.testing.assert_array_equal(state.pivot_max, expected)
 
 
 class TestFindRadius:
@@ -177,3 +119,46 @@ class TestFindRadius:
         assert rr.sssp_count == p.sssp_count
         assert rr.rows_accessed == p.rows_accessed
         assert rr.sssp_count <= path4.n
+
+
+# Full results of find_radius: (graph, radius, center, pivots,
+# candidates_examined, SSSPs on demand, rows_accessed, bound_trace). Both
+# modes read the same rows; over a matrix no SSSP runs.
+PINNED = [
+    (build_graph(1, []), 0.0, 0, [0], 1, 1, 3, [(0.0, 0.0)]),
+    (build_graph(2, [(0, 1, 7.0)]), 7.0, 0, [1, 0], 1, 2, 5, [(7.0, 7.0)]),
+    (generate(GraphSpec(kind="complete", n=6, weight_range=(0.0, 0.0), integer_weights=True)),
+     0.0, 0, [0, 1], 1, 2, 4, [(0.0, 0.0)]),
+    (generate(GraphSpec(kind="complete", n=12, seed=3)),
+     42.857290429846195, 11, [8, 4, 6], 2, 6, 8,
+     [(30.375694222095316, 50.65316551844123), (42.857290429846195, 42.857290429846195)]),
+    (generate(GraphSpec(kind="complete", n=8, seed=69)),
+     52.549648746070396, 5, [6, 0, 4], 2, 5, 7,
+     [(47.658484007382285, 52.549648746070396), (52.549648746070396, 52.549648746070396)]),
+    (generate(GraphSpec(kind="sparse", n=60, seed=5, target_edges=150,
+                        weight_range=(1.0, 100.0), integer_weights=True)),
+     112.0, 2, [27, 54, 51, 38], 3, 8, 10, [(107.0, 123.0), (107.0, 113.0), (112.0, 112.0)]),
+]
+
+
+@pytest.mark.parametrize("case", PINNED, ids=["n1", "n2", "zero", "complete12", "complete8", "sparse60"])
+@pytest.mark.parametrize("mode", ["p1", "p2"])
+def test_pinned_results(case, mode):
+    g, radius, center, pivots, examined, sssp_count, rows, trace = case
+    if mode == "p1":
+        provider = DistanceProvider.on_demand(g)
+    else:
+        provider, sssp_count = DistanceProvider.from_matrix(apsp_repeated_sssp(g)), 0
+    assert find_radius(provider) == RadiusResult(
+        radius=radius, center=center, pivots=pivots, candidates_examined=examined,
+        sssp_count=sssp_count, rows_accessed=rows, bound_trace=trace,
+    )
+
+
+@pytest.mark.parametrize("g", list(seeded_cases(6, master_seed=5)), ids=lambda g: f"n{g.n}m{g.m}")
+def test_matrix_search_leaves_the_matrix_unchanged(g):
+    M = apsp_repeated_sssp(g)
+    before = M.values.tobytes()
+    provider = DistanceProvider.from_matrix(M)
+    diameter_p2(M, find_radius(provider), provider)
+    assert M.values.tobytes() == before
