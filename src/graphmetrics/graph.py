@@ -113,8 +113,9 @@ def load_dimacs(path) -> Graph:
     The file must hold exactly m arc lines. The reverse direction of each
     arc is added if absent. The text is UTF-8: a byte that is not is ignored
     in a comment and a DimacsParseError naming its line anywhere else.
-    Header and arc lines must be ASCII without "_": Python's int() and
-    float() read "1_0" and non-ASCII digits, which DIMACS numbers lack.
+    Header and arc lines must be ASCII without "_" or "+": Python's int()
+    and float() read "1_0", a sign "+1" and non-ASCII digits, which DIMACS
+    numbers lack.
     """
     n = m = None
     us: list[int] = []
@@ -133,8 +134,8 @@ def load_dimacs(path) -> Graph:
                     if len(parts) != 4 or parts[1] != "sp":
                         raise DimacsParseError(f"line {lineno}: malformed header {line!r}")
                     try:
-                        if "_" in line or not line.isascii():
-                            raise ValueError  # int() reads "1_0" and non-ASCII digits
+                        if "_" in line or "+" in line or not line.isascii():
+                            raise ValueError  # int() reads "1_0", "+1" and non-ASCII digits
                         n, m = int(parts[2]), int(parts[3])
                     except ValueError:
                         raise DimacsParseError(
@@ -150,8 +151,9 @@ def load_dimacs(path) -> Graph:
                     if len(parts) != 4:
                         raise DimacsParseError(f"line {lineno}: malformed arc {line!r}")
                     try:
-                        if "_" in line or not line.isascii():
-                            raise ValueError  # int() and float() read "1_0" and non-ASCII digits
+                        if "_" in line or "+" in line or not line.isascii():
+                            # int() and float() read "1_0", "+1", "1e+3" and non-ASCII digits
+                            raise ValueError
                         a, b = int(parts[1]), int(parts[2])
                         weight = float(parts[3])
                     except ValueError:
@@ -201,6 +203,8 @@ def write_dimacs(g: Graph, path) -> None:
         for u in range(g.n):
             nbrs, ws = g.neighbors(u)
             for v, w in zip(nbrs.tolist(), ws.tolist()):
+                # repr writes an exponent only below 1e-4 ("1e-05"), since
+                # every float from 1e16 up is an integer: no "+" is written
                 text = str(int(w)) if w == int(w) else repr(w)
                 fh.write(f"a {u + 1} {v + 1} {text}\n")
 

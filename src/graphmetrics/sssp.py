@@ -52,19 +52,21 @@ SPARSE_DEGREE_CUT = 64.0
 
 # Below the cut sssp first relaxes every arc at once per round (Delta-stepping,
 # Meyer & Sanders 2003, with Delta = infinity): each vertex takes the least
-# d[u] + w(u, v) over its arcs. After WARMUP_ROUNDS rounds, the first round
-# that lowers fewer than n // THIN labels hands over to the lazy-deletion
-# heap, seeded only with the vertices that round lowered: a vertex it left
-# unchanged has already relaxed its arcs at its current label. Both phases
-# stop at Dijkstra's fixed point d[v] = min over u of fl(d[u] + w(u, v)):
-# float addition rounds monotonically, so no label falls below Dijkstra's
-# value, and at the end no arc can lower one. So rows equal sssp_vectorized's
-# bit for bit. Per SSSP on a 2-core x86 machine, heap alone -> this kernel,
-# best of 5: sparse:100:300 0.11 -> 0.06 ms, complete:50 0.17 -> 0.06 ms
-# (rows converge in rounds), sparse:1000:4000 1.6 -> 0.5 ms; long thin
-# graphs hand over after the warm-up and pay for it, path:300 0.12 -> 0.15 ms
-# and grid 70x70 6.5 -> 6.8 ms. Rounds to convergence or a fixed round cap
-# lose on such graphs (ROADMAP, "Measured and dropped").
+# d[u] + w(u, v) over its arcs. Round 1 is the source's own arcs. The
+# WARMUP_ROUNDS rounds do not count the labels they lower; after them, the
+# first round that lowers fewer than n // THIN labels hands over to the
+# lazy-deletion heap, seeded only with the vertices that round lowered: a
+# vertex it left unchanged has already relaxed its arcs at its current label.
+# Both phases stop at Dijkstra's fixed point d[v] = min over u of
+# fl(d[u] + w(u, v)): float addition rounds monotonically, so no label falls
+# below Dijkstra's value, and at the end no arc can lower one. So rows equal
+# sssp_vectorized's bit for bit. Per SSSP on a 2-core x86 machine in a slow
+# phase, seed 0, 20 sources, heap alone -> this kernel, best of 5:
+# sparse:100:300 0.26 -> 0.09 ms, complete:50 0.52 -> 0.09 ms (rows converge
+# in rounds), sparse:1000:4000 3.8 -> 0.87 ms; long thin graphs hand over
+# after the warm-up and pay for it, path:300 0.32 -> 0.35 ms and grid 70x70
+# 11.6 -> 11.8-12.1 ms. Rounds to convergence or a fixed round cap lose on
+# such graphs (ROADMAP, "Measured and dropped").
 WARMUP_ROUNDS = 2
 THIN = 32
 
@@ -93,17 +95,31 @@ def sssp(g: Graph, source: int) -> np.ndarray:
     # rounds; with n > 1 they are disconnected, and the heap names the vertex.
     if g.every_vertex_has_arc:
         starts, indices, weights = g.indptr[:-1], g.indices, g.weights
-        rounds = 0
+        # Round 1 is the source's own arcs: only dist[source] is finite, so
+        # the round would give each neighbor v 0.0 + w(v, source) and every
+        # other vertex inf. The CSR is symmetric with one arc per neighbor
+        # and no self-loop (dist[source] stays 0.0), and it holds no -0.0,
+        # so 0.0 + w has w's bytes.
+        neighbors, arc_weights = g.neighbors(source)
+        dist[neighbors] = arc_weights
+        rounds = 1
         while True:
-            new = np.minimum.reduceat(dist[indices] + weights, starts)
+            new = dist[indices]  # one 2m-long temporary per round
+            new += weights
+            new = np.minimum.reduceat(new, starts)
             new[source] = 0.0  # every other label is at most its last value
+            rounds += 1
+            if rounds <= WARMUP_ROUNDS:
+                # nothing reads the count yet; a row that settles here is
+                # confirmed by the next round, with the same labels
+                dist = new
+                continue
             lowered = new < dist
             count = np.count_nonzero(lowered)
             dist = new
-            rounds += 1
             if count == 0:
                 return _checked(dist, source)
-            if rounds > WARMUP_ROUNDS and count < n // THIN:
+            if count < n // THIN:
                 seeds = np.flatnonzero(lowered).tolist()
                 break
     # memoryview items are plain Python ints and floats, as list items would

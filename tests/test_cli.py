@@ -211,11 +211,12 @@ def corrupt_dimacs(draw):
         "field count", "non-numeric", "id out of range", "negative weight",
         "nan weight", "infinite weight", "unknown line type", "duplicate header",
         "arc before header", "not utf-8", "underscore", "other digits", "other space",
+        "plus sign",
     ]))
     if kind == "arc before header":
         i = 0
     elif kind in ("field count", "non-numeric", "unknown line type", "not utf-8",
-                  "underscore", "other digits", "other space"):
+                  "underscore", "other digits", "other space", "plus sign"):
         i = draw(st.sampled_from([1, arc]))  # the header or an arc line
     else:
         i = arc
@@ -227,7 +228,7 @@ def corrupt_dimacs(draw):
     elif kind == "non-numeric":
         parts[draw(st.integers(2, 3) if header else st.integers(1, 3))] = draw(NON_NUMERIC)
         fault = "non-integer header fields" if header else "non-numeric arc fields"
-    elif kind in ("underscore", "other digits", "other space"):
+    elif kind in ("underscore", "other digits", "other space", "plus sign"):
         # int(), float() and split() read the line as before, so only the check rejects it
         at = draw(st.integers(2, 3) if header else st.integers(1, 3))
         if kind == "underscore":
@@ -235,6 +236,10 @@ def corrupt_dimacs(draw):
         elif kind == "other digits":
             zero = draw(OTHER_DIGITS)
             parts[at] = "".join(chr(zero + int(d)) for d in parts[at])
+        elif kind == "plus sign":
+            # a sign on any field, or on a weight's exponent: "5e+0"
+            exponent = not header and at == 3 and draw(st.booleans())
+            parts[at] = parts[at] + "e+0" if exponent else "+" + parts[at]
         fault = "non-integer header fields" if header else "non-numeric arc fields"
     elif kind == "id out of range":
         bad = draw(st.one_of(st.integers(max_value=0), st.integers(min_value=n + 1)))
@@ -242,7 +247,7 @@ def corrupt_dimacs(draw):
         fault = f"vertex id out of range [1, {n}]"
     elif kind == "negative weight":
         w = draw(st.floats(max_value=0.0, exclude_max=True, allow_nan=False))
-        parts[3] = repr(w)
+        parts[3] = repr(w).replace("e+", "e")  # "-1e+16" would be a plus sign fault
         fault = f"negative weight {w}"
     elif kind == "nan weight":
         parts[3] = draw(st.sampled_from(["nan", "NaN", "-nan"]))

@@ -1,12 +1,14 @@
 import importlib
 from contextlib import contextmanager
 from heapq import heapify
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphmetrics.cli import parse_gen_spec
 from graphmetrics.graph import GraphSpec, generate
 from graphmetrics.oracle import apsp_repeated_sssp, floyd_warshall
 from graphmetrics.sssp import (
@@ -129,6 +131,27 @@ def _heaps_started():
         yield heaps
 
 
+@contextmanager
+def _rounds_run():
+    """A list that grows by one per np.minimum.reduceat call in sssp: one
+    per relaxation round over the whole graph after round 1."""
+    calls = []
+
+    def reduceat(*args, **kwargs):
+        calls.append(None)
+        return np.minimum.reduceat(*args, **kwargs)
+
+    class Numpy:
+        minimum = SimpleNamespace(reduceat=reduceat)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sssp_module, "np", Numpy())
+        yield calls
+
+
 class TestListRelaxation:
     """sssp's relaxation rounds and heap against the vectorized reference."""
 
@@ -168,6 +191,33 @@ class TestListRelaxation:
         with _heaps_started() as heaps:
             for s in range(g.n):
                 assert sssp(g, s).tobytes() == sssp_vectorized(g, s).tobytes()
+        assert heaps == []
+
+    @pytest.mark.parametrize("spec, rounds", [
+        ("complete:50:seed=0:wlo=0:whi=100:int=0", 354),
+        ("sparse:100:300:seed=0:wlo=1:whi=100:int=1", 699),
+    ])
+    def test_round_count(self, spec, rounds):
+        # over every source; round 1 is the source's arcs, with no reduceat
+        g = generate(parse_gen_spec(spec))
+        with _rounds_run() as calls:
+            for s in range(g.n):
+                sssp(g, s)
+        assert len(calls) == rounds
+
+    def test_star_with_zero_and_tied_weights(self):
+        # -0.0 is stored as +0.0, so round 1 copies no -0.0 into a row
+        weights = [0.0, -0.0, 3.0, 3.0, 0.5, 3.0, 0.0, 0.5] * 5
+        g = build_graph(41, [(0, leaf, w) for leaf, w in enumerate(weights, start=1)])
+        assert g.average_degree < SPARSE_DEGREE_CUT
+        with _heaps_started() as heaps:
+            for s in (0, 1, 2, 3, 5):
+                with _rounds_run() as calls:
+                    assert sssp(g, s).tobytes() == sssp_vectorized(g, s).tobytes()
+                if s == 0:
+                    # the centre settles in round 1; the first round that
+                    # counts, after the warm-up, confirms it
+                    assert len(calls) == sssp_module.WARMUP_ROUNDS
         assert heaps == []
 
     @pytest.mark.parametrize("lone", [0, 2, 4])
