@@ -23,7 +23,6 @@ from .graph import (
     write_dimacs,
 )
 from .oracle import (
-    DEFAULT_MATRIX_CAP,
     build_matrix,
     choose_baseline,
     dijkstra_matrix,
@@ -133,17 +132,12 @@ def _report(
 
 
 def run_metrics(
-    g: Graph,
-    name: str,
-    seed: int | None,
-    mode: str,
-    target: str,
-    max_matrix_n: int = DEFAULT_MATRIX_CAP,
+    g: Graph, name: str, seed: int | None, mode: str, target: str
 ) -> list[RunReport]:
     """Run the fast searches; one report per algorithm executed."""
     matrix = matrix_build_ms = None
     if mode == "p2":
-        matrix, build_s = _timed(build_matrix, g, max_matrix_n)
+        matrix, build_s = _timed(build_matrix, g)
         matrix_build_ms = _ms(build_s)
     rr, radius_s, dr, diameter_s = _search(g, matrix, target)
     reports: list[RunReport] = []
@@ -162,13 +156,8 @@ def run_metrics(
     return reports
 
 
-def run_oracle(
-    g: Graph,
-    name: str,
-    seed: int | None,
-    max_matrix_n: int = DEFAULT_MATRIX_CAP,
-):
-    matrix, build_s = _timed(build_matrix, g, max_matrix_n)
+def run_oracle(g: Graph, name: str, seed: int | None):
+    matrix, build_s = _timed(build_matrix, g)
     metrics, scan_s = _timed(scan_metrics, matrix)
     sssp_count = g.n if choose_baseline(g) == "dijkstra" else 0
     pair = metrics.all_peripheral_pairs[0] if metrics.all_peripheral_pairs else (0, 0)
@@ -181,9 +170,7 @@ def run_oracle(
     return metrics, reports
 
 
-def _bench_input(
-    g: Graph, name: str, repeats: int, mode: str, max_matrix_n: int
-) -> list[BenchRow]:
+def _bench_input(g: Graph, name: str, repeats: int, mode: str) -> list[BenchRow]:
     """Mean times of the full scans (RC, DC) and the pivot searches (R, D).
 
     Each repeat runs R and then D on one fresh provider; D's time includes
@@ -193,7 +180,7 @@ def _bench_input(
     p2 builds the matrix once, untimed, and warms up before timing.
     """
     p2 = mode == "p2"
-    matrix = build_matrix(g, max_matrix_n) if p2 else None
+    matrix = build_matrix(g) if p2 else None
     if p2:
         # untimed warm-up; the paper's timings also come from consecutive runs
         scan_radius(matrix)
@@ -228,19 +215,14 @@ def _bench_input(
     ]
 
 
-def run_bench(
-    inputs: list[tuple[str, str]],
-    repeats: int,
-    mode: str,
-    max_matrix_n: int = DEFAULT_MATRIX_CAP,
-) -> list[BenchRow]:
+def run_bench(inputs: list[tuple[str, str]], repeats: int, mode: str) -> list[BenchRow]:
     """inputs: list of ("path"|"gen", value); failures land in the errors column."""
     rows: list[BenchRow] = []
     for source, value in inputs:
         name = os.path.basename(value) if source == "path" else value  # for failed loads too
         try:
             g, _, _ = _load(source, value)
-            rows.extend(_bench_input(g, name, repeats, mode, max_matrix_n))
+            rows.extend(_bench_input(g, name, repeats, mode))
         except DisconnectedGraphError as exc:
             rows.append(BenchRow(name=name, errors=_unreachable(exc)))
         except (DimacsParseError, GraphValidationError, MemoryError, OSError) as exc:
@@ -274,10 +256,6 @@ def _add_input_args(p: argparse.ArgumentParser, repeatable: bool = False) -> Non
         grp.add_argument("--gen", help="generator spec kind:n[:m]:seed=s")
 
 
-def _add_matrix_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-matrix-n", type=int, default=DEFAULT_MATRIX_CAP)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphmetrics",
@@ -289,19 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--mode", choices=["p1", "p2"], default="p1")
     p.add_argument("--target", choices=["radius", "diameter", "both"], default="both")
-    _add_matrix_args(p)
     p.add_argument("--json", help="write JSON report to this path")
 
     p = sub.add_parser("oracle", help="run the brute-force baselines")
     _add_input_args(p)
-    _add_matrix_args(p)
     p.add_argument("--json", help="write JSON report to this path")
 
     p = sub.add_parser("bench", help="benchmark suite, CSV output")
     _add_input_args(p, repeatable=True)
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--mode", choices=["p1", "p2"], default="p1")
-    _add_matrix_args(p)
     p.add_argument("--csv", help="write CSV report to this path (default stdout)")
 
     p = sub.add_parser("gen", help="generate a graph and write DIMACS")
@@ -322,9 +297,9 @@ def main(argv: list[str] | None = None) -> int:
             g, name, seed = _load("path", args.input) if args.input else _load("gen", args.gen)
             summary = None
             if args.command == "metrics":
-                reports = run_metrics(g, name, seed, args.mode, args.target, args.max_matrix_n)
+                reports = run_metrics(g, name, seed, args.mode, args.target)
             else:
-                metrics, reports = run_oracle(g, name, seed, args.max_matrix_n)
+                metrics, reports = run_oracle(g, name, seed)
                 summary = (
                     f"centers: {[c + 1 for c in metrics.all_centers]}  "
                     f"peripheral pairs: "
@@ -344,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.repeats < 1:
                 print(f"bench: --repeats must be at least 1, got {args.repeats}", file=sys.stderr)
                 return 2
-            rows = run_bench(inputs, args.repeats, args.mode, args.max_matrix_n)
+            rows = run_bench(inputs, args.repeats, args.mode)
             if args.csv:
                 with open(args.csv, "w", encoding="utf-8", newline="") as fh:
                     write_bench_csv(rows, fh)

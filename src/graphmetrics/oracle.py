@@ -11,7 +11,9 @@ import numpy as np
 from .graph import Graph
 from .sssp import DistanceMatrix, _checked, sssp, sssp_vectorized
 
-DEFAULT_MATRIX_CAP = 20_000  # n*n float64 beyond this is not desk-scale
+# The largest n of any distance matrix built here: 20 000^2 float64 is
+# 3.2 GB, and floyd_warshall holds two such arrays.
+MATRIX_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -22,36 +24,44 @@ class OracleMetrics:
     all_peripheral_pairs: list[tuple[int, int]]
 
 
+def _matrix(n: int) -> np.ndarray:
+    """An uninitialised n x n float64 array; MemoryError when n is above MATRIX_CAP."""
+    if n > MATRIX_CAP:
+        raise MemoryError(f"distance matrix refused: n={n} exceeds cap {MATRIX_CAP}")
+    return np.empty((n, n))
+
+
+def _repeated(g: Graph, kernel) -> DistanceMatrix:
+    """All-pairs distances as one kernel(g, source) row per vertex."""
+    rows = _matrix(g.n)
+    for i in range(g.n):
+        rows[i] = kernel(g, i)
+    return DistanceMatrix(rows)
+
+
 def apsp_repeated_sssp(g: Graph) -> DistanceMatrix:
     """All-pairs distances as one Dijkstra run per vertex.
 
     It runs the vectorized relaxation whatever the graph's degree, so that
     the rows sssp returns are checked against separate code.
     """
-    rows = np.empty((g.n, g.n))
-    for i in range(g.n):
-        rows[i] = sssp_vectorized(g, i)
-    return DistanceMatrix(rows)
+    return _repeated(g, sssp_vectorized)
 
 
 def dijkstra_matrix(g: Graph) -> DistanceMatrix:
     """All-pairs distances as one sssp run per vertex, on the fast kernel."""
-    rows = np.empty((g.n, g.n))
-    for i in range(g.n):
-        rows[i] = sssp(g, i)
-    return DistanceMatrix(rows)
+    return _repeated(g, sssp)
 
 
-def floyd_warshall(g: Graph, max_n: int = DEFAULT_MATRIX_CAP) -> DistanceMatrix:
+def floyd_warshall(g: Graph) -> DistanceMatrix:
     """Classic triple-loop APSP, vectorized over the inner two indices.
 
     A disconnected graph raises DisconnectedGraphError naming the smallest
     vertex unreachable from vertex 0, as sssp from vertex 0 does.
     """
     n = g.n
-    if n > max_n:
-        raise MemoryError(f"floyd_warshall refused: n={n} exceeds cap {max_n}")
-    D = np.full((n, n), np.inf)
+    D = _matrix(n)
+    D.fill(np.inf)
     np.fill_diagonal(D, 0.0)
     D[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = g.weights
     tmp = np.empty_like(D)  # one temporary for every step
@@ -108,10 +118,8 @@ def choose_baseline(g: Graph) -> str:
     return "floyd" if g.average_degree > g.n / 4.0 else "dijkstra"
 
 
-def build_matrix(g: Graph, max_n: int = DEFAULT_MATRIX_CAP) -> DistanceMatrix:
+def build_matrix(g: Graph) -> DistanceMatrix:
     """All-pairs distances from the builder choose_baseline picks."""
-    if g.n > max_n:
-        raise MemoryError(f"distance matrix refused: n={g.n} exceeds cap {max_n}")
     if choose_baseline(g) == "floyd":
-        return floyd_warshall(g, max_n=max_n)
+        return floyd_warshall(g)
     return dijkstra_matrix(g)

@@ -144,9 +144,10 @@ def sssp(g: Graph, source: int) -> np.ndarray:
 
 def _checked(dist: np.ndarray, source: int) -> np.ndarray:
     """dist, or DisconnectedGraphError naming its smallest unreachable id."""
-    if dist.max() < np.inf:
+    far = int(dist.argmax())  # the first maximum: the smallest id when any label is inf
+    if dist[far] < np.inf:
         return dist
-    raise DisconnectedGraphError(source, int(np.isinf(dist).argmax()))
+    raise DisconnectedGraphError(source, far)
 
 
 def sssp_vectorized(g: Graph, source: int) -> np.ndarray:

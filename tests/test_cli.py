@@ -32,6 +32,11 @@ TWO_TRIANGLES = "p sp 6 6\na 1 2 1\na 2 3 1\na 1 3 1\na 4 5 1\na 5 6 1\na 4 6 1\
 # (file text, matrix builder it gets, internal id of the smallest vertex 0 cannot reach)
 DISCONNECTED_INPUTS = [(DISCONNECTED_FIXTURE, "dijkstra", 2), (TWO_TRIANGLES, "floyd", 3)]
 
+# One vertex above the matrix cap and no arcs: disconnected, but every command
+# that builds a matrix refuses it first.
+ABOVE_CAP = "p sp 20001 0\n"
+CAP_REFUSAL = "distance matrix refused: n=20001 exceeds cap 20000"
+
 
 @pytest.fixture
 def path_file(tmp_path):
@@ -188,8 +193,35 @@ class TestMetricsCommand:
         assert "radius=2 center=2" in capsys.readouterr().out
 
     def test_memory_guard_on_p2(self, tmp_path, capsys):
-        assert main(["metrics", "--gen", "sparse:30:seed=0", "--mode", "p2",
-                     "--max-matrix-n", "10"]) == 2
+        p = tmp_path / "big.gr"
+        p.write_text(ABOVE_CAP)
+        for argv in (["metrics", "--mode", "p2"], ["oracle"]):
+            assert main(argv + ["--input", str(p)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {CAP_REFUSAL}\n"  # not the disconnection
+
+    @pytest.mark.parametrize("mode", ["p1", "p2"])
+    def test_diameter_target(self, monkeypatch, path_file, tmp_path, mode):
+        timed = cli_module._timed
+        radius_s = []
+
+        def recording_timed(fn, *args):
+            out, seconds = timed(fn, *args)
+            if fn is cli_module.find_radius:
+                radius_s.append(seconds)
+            return out, seconds
+
+        monkeypatch.setattr(cli_module, "_timed", recording_timed)
+        out = tmp_path / "rep.json"
+        assert main(["metrics", "--input", path_file, "--mode", mode,
+                     "--target", "diameter", "--json", str(out)]) == 0
+        (report,) = json.loads(out.read_text())  # D alone, no R report
+        assert report["algo"] == "D" + mode[1]
+        assert report["diameter"] == 3.0
+        assert sorted(report["pair"]) == [1, 4]
+        (seconds,) = radius_s
+        assert report["elapsed_ms"] >= seconds * 1000.0  # D's time includes R's
 
 
 NON_NUMERIC = st.sampled_from(["x", "0x2", "1,5", "--1", "2e"])
@@ -383,6 +415,16 @@ class TestBenchCommand:
                      "--csv", str(tmp_path / "bench.csv")]) == 0
         assert len(calls) == 3 + warm_up
         assert len({id(p) for p in calls}) == len(calls)  # each on a fresh provider
+
+    @pytest.mark.parametrize("mode", ["p1", "p2"])
+    def test_matrix_cap_recorded_in_both_modes(self, tmp_path, mode):
+        p = tmp_path / "big.gr"
+        p.write_text(ABOVE_CAP)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--input", str(p), "--mode", mode, "--csv", str(out)]) == 0
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["errors"] == CAP_REFUSAL  # not "vertex 2 is unreachable from vertex 1"
 
     def test_no_inputs_is_an_error(self, capsys):
         assert main(["bench"]) == 2

@@ -3,6 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
+from graphmetrics import oracle
 from graphmetrics.graph import GraphSpec, generate
 from graphmetrics.oracle import (
     apsp_repeated_sssp,
@@ -51,6 +52,17 @@ class TestBuildMatrix:
         expected = apsp_repeated_sssp(g).values.tobytes()
         assert dijkstra_matrix(g).values.tobytes() == expected
 
+    @pytest.mark.parametrize("builder", [
+        apsp_repeated_sssp, dijkstra_matrix, floyd_warshall, build_matrix,
+    ], ids=lambda f: f.__name__)
+    def test_memory_guard(self, monkeypatch, builder):
+        # disconnected, so a build that ran any SSSP first would raise DisconnectedGraphError
+        g = build_graph(3, [(0, 1, 1.0)])
+        monkeypatch.setattr(oracle, "MATRIX_CAP", 1)
+        with pytest.raises(MemoryError) as exc:
+            builder(g)
+        assert str(exc.value) == "distance matrix refused: n=3 exceeds cap 1"
+
 
 class TestFloydWarshall:
     def test_relaxation_through_middle(self):
@@ -62,11 +74,6 @@ class TestFloydWarshall:
         M = floyd_warshall(g).values
         off = M[~np.eye(5, dtype=bool)]
         assert set(off.tolist()) == {1.0}
-
-    def test_memory_guard(self):
-        g = build_graph(2, [(0, 1, 1.0)])
-        with pytest.raises(MemoryError):
-            floyd_warshall(g, max_n=1)
 
     @pytest.mark.parametrize("edges, unreachable", [
         ([(0, 1, 1.0), (2, 3, 1.0)], 2),
