@@ -38,6 +38,10 @@ from .sssp import DisconnectedGraphError, DistanceMatrix, DistanceProvider
 def parse_gen_spec(text: str) -> GraphSpec:
     def number(convert, value: str, field: str):
         try:
+            if not value.isascii() or any(c in "_+" or c.isspace() for c in value):
+                # the DIMACS numeral rule: int() and float() also read "1_0",
+                # "+1", " 1" and non-ASCII digits
+                raise ValueError
             return convert(value)
         except ValueError:
             raise GraphValidationError(
@@ -54,14 +58,24 @@ def parse_gen_spec(text: str) -> GraphSpec:
     rest = parts[2:]
     target = None
     if rest and "=" not in rest[0]:
+        if kind == "complete":
+            raise GraphValidationError(
+                f"complete graph takes no edge count, got {rest[0]!r} in generator spec {text!r}"
+            )
         target = number(int, rest[0], "edge count")
         rest = rest[1:]
     kwargs: dict = {}
     lo, hi = GraphSpec.weight_range  # the generator's own default
+    seen: set[str] = set()
     for item in rest:
         if "=" not in item:
             raise GraphValidationError(f"bad generator option {item!r}")
         key, value = item.split("=", 1)
+        if key in seen:
+            raise GraphValidationError(
+                f"repeated generator option {key!r} in generator spec {text!r}"
+            )
+        seen.add(key)
         if key == "seed":
             kwargs["seed"] = number(int, value, "seed")
         elif key == "wlo":

@@ -4,10 +4,17 @@ Graphs are stored in CSR form (indptr/indices/weights) with 0-based vertex
 ids: DIMACS vertex u + 1 is vertex u here, and the CLI reports vertex u as
 u + 1. Whether a graph is connected is found by the first shortest-path run
 from vertex 0; check_connected answers the same question on its own.
+
+load_dimacs has two readers. A plain file (comments, header, then arc lines
+of plain ASCII numbers) is parsed in bulk by numpy's C text reader; any file
+it declines is read line by line, and that reader alone decides what is
+malformed and words the fault, so both give the same graph or error.
 """
 from __future__ import annotations
 
+import io
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,74 +123,146 @@ def load_dimacs(path) -> Graph:
     Header and arc lines must be ASCII without "_" or "+": Python's int()
     and float() read "1_0", a sign "+1" and non-ASCII digits, which DIMACS
     numbers lack.
+
+    A plain file is read in bulk by numpy's C text reader; every other file
+    is read line by line. Both give the same graph, and only the line reader
+    decides what is malformed and how the fault is worded.
     """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    g = _load_plain(text)
+    return g if g is not None else _load_lines(io.StringIO(text))
+
+
+# A comment line among the arcs, with the newline before it: the line reader
+# skips every line that starts with "c".
+_COMMENT_LINE = re.compile(r"\nc[^\n]*")
+# Every character a plain data line may hold: printable ASCII but "_" and
+# "+", tab and newline. The line reader rejects "_" and "+", which numpy's
+# number parsers do not (a sign "+1"); a file with any other control
+# character is left to the line reader rather than to loadtxt's tokenizer.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).translate(None, b"_+") + b"\t\n"
+# A two-character tag: a longer field is cut to two characters, never to "a".
+_ARC_ROW = np.dtype([("tag", "U2"), ("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+
+def _load_plain(text: str) -> Graph | None:
+    """The graph of a plain DIMACS text, parsed by one np.loadtxt call, or
+    None when the text is not plain and _load_lines must read it.
+
+    Plain means: `c` lines, then a `p sp n m` line of ASCII digits with
+    n >= 1, then m `a u v w` lines of plain characters, with ids in [1, n]
+    and finite non-negative weights; blank lines and `c` lines may sit
+    among the arcs. The line reader accepts every plain text and parses it
+    to the same numbers; it also reads every text declined here, which may
+    be valid, so this reader never decides that a file is malformed.
+    """
+    start = 0
+    while text.startswith("c", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    end = text.find("\n", start)
+    header = text[start:end]
+    fields = header.split()
+    if (
+        end < 0 or not header.isascii() or len(fields) != 4 or fields[:2] != ["p", "sp"]
+        or not (fields[2].isdigit() and fields[3].isdigit())
+    ):
+        return None
+    n, m = int(fields[2]), int(fields[3])
+    body = text[end:]  # from the header's newline on
+    if "\nc" in body:
+        body = _COMMENT_LINE.sub("", body)
+    # With no arc line loadtxt warns that the input holds no data.
+    if n < 1 or "a" not in body or not body.isascii():
+        return None
+    if body.encode("ascii").translate(None, _PLAIN_BYTES):
+        return None
+    try:
+        # No line break but "\n" is left, so splitlines splits as a file does.
+        rows = np.loadtxt(body.splitlines(), dtype=_ARC_ROW, comments=None, ndmin=1)
+    except ValueError:  # a field count other than 4, a field no number, an id beyond int64
+        return None
+    u, v, w = rows["u"], rows["v"], rows["w"]
+    if (
+        rows.size != m or (rows["tag"] != "a").any()
+        or u.min() < 1 or u.max() > n or v.min() < 1 or v.max() > n
+        or not np.isfinite(w).all() or w.min() < 0
+    ):
+        return None
+    return from_arcs(n, u - 1, v - 1, w)
+
+
+def _load_lines(lines) -> Graph:
+    """Parse DIMACS text line by line: the reader of every file that
+    _load_plain declines, and the one that names each fault."""
     n = m = None
     us: list[int] = []
     vs: list[int] = []
     ws: list[float] = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("c"):
-                    continue
-                parts = line.split()
-                if parts[0] == "p":
-                    if n is not None:
-                        raise DimacsParseError(f"line {lineno}: duplicate problem line")
-                    if len(parts) != 4 or parts[1] != "sp":
-                        raise DimacsParseError(f"line {lineno}: malformed header {line!r}")
-                    try:
-                        if "_" in line or "+" in line or not line.isascii():
-                            raise ValueError  # int() reads "1_0", "+1" and non-ASCII digits
-                        n, m = int(parts[2]), int(parts[3])
-                    except ValueError:
-                        raise DimacsParseError(
-                            f"line {lineno}: non-integer header fields {line!r}"
-                        ) from None
-                    if n < 1:
-                        raise GraphValidationError(f"line {lineno}: vertex count must be >= 1")
-                    if m < 0:
-                        raise DimacsParseError(f"line {lineno}: arc count must be >= 0, got {m}")
-                elif parts[0] == "a":
-                    if n is None:
-                        raise DimacsParseError(f"line {lineno}: arc before 'p sp' header")
-                    if len(parts) != 4:
-                        raise DimacsParseError(f"line {lineno}: malformed arc {line!r}")
-                    try:
-                        if "_" in line or "+" in line or not line.isascii():
-                            # int() and float() read "1_0", "+1", "1e+3" and non-ASCII digits
-                            raise ValueError
-                        a, b = int(parts[1]), int(parts[2])
-                        weight = float(parts[3])
-                    except ValueError:
-                        raise DimacsParseError(
-                            f"line {lineno}: non-numeric arc fields {line!r}"
-                        ) from None
-                    if not (1 <= a <= n and 1 <= b <= n):
-                        raise GraphValidationError(
-                            f"line {lineno}: vertex id out of range [1, {n}]"
-                        )
-                    if not 0.0 <= weight < math.inf:  # also catches nan
-                        kind = "negative" if weight < 0 else "non-finite"
-                        raise GraphValidationError(f"line {lineno}: {kind} weight {weight}")
-                    us.append(a - 1)
-                    vs.append(b - 1)
-                    ws.append(weight)
-                else:
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("c"):
+                continue
+            parts = line.split()
+            if parts[0] == "p":
+                if n is not None:
+                    raise DimacsParseError(f"line {lineno}: duplicate problem line")
+                if len(parts) != 4 or parts[1] != "sp":
+                    raise DimacsParseError(f"line {lineno}: malformed header {line!r}")
+                try:
+                    if "_" in line or "+" in line or not line.isascii():
+                        raise ValueError  # int() reads "1_0", "+1" and non-ASCII digits
+                    n, m = int(parts[2]), int(parts[3])
+                except ValueError:
                     raise DimacsParseError(
-                        f"line {lineno}: unknown line type {parts[0]!r}"
+                        f"line {lineno}: non-integer header fields {line!r}"
+                    ) from None
+                if n < 1:
+                    raise GraphValidationError(f"line {lineno}: vertex count must be >= 1")
+                if m < 0:
+                    raise DimacsParseError(f"line {lineno}: arc count must be >= 0, got {m}")
+            elif parts[0] == "a":
+                if n is None:
+                    raise DimacsParseError(f"line {lineno}: arc before 'p sp' header")
+                if len(parts) != 4:
+                    raise DimacsParseError(f"line {lineno}: malformed arc {line!r}")
+                try:
+                    if "_" in line or "+" in line or not line.isascii():
+                        # int() and float() read "1_0", "+1", "1e+3" and non-ASCII digits
+                        raise ValueError
+                    a, b = int(parts[1]), int(parts[2])
+                    weight = float(parts[3])
+                except ValueError:
+                    raise DimacsParseError(
+                        f"line {lineno}: non-numeric arc fields {line!r}"
+                    ) from None
+                if not (1 <= a <= n and 1 <= b <= n):
+                    raise GraphValidationError(
+                        f"line {lineno}: vertex id out of range [1, {n}]"
                     )
-        except DimacsParseError:
-            # surrogateescape reads a byte that is not UTF-8 as a lone
-            # surrogate, which no field accepts: only data lines holding one
-            # end up here, and the byte is the fault to report.
-            bad = [c for c in line if "\udc80" <= c <= "\udcff"]
-            if bad:
+                if not 0.0 <= weight < math.inf:  # also catches nan
+                    kind = "negative" if weight < 0 else "non-finite"
+                    raise GraphValidationError(f"line {lineno}: {kind} weight {weight}")
+                us.append(a - 1)
+                vs.append(b - 1)
+                ws.append(weight)
+            else:
                 raise DimacsParseError(
-                    f"line {lineno}: byte 0x{ord(bad[0]) - 0xDC00:02x} is not UTF-8 text"
-                ) from None
-            raise
+                    f"line {lineno}: unknown line type {parts[0]!r}"
+                )
+    except DimacsParseError:
+        # surrogateescape reads a byte that is not UTF-8 as a lone
+        # surrogate, which no field accepts: only data lines holding one
+        # end up here, and the byte is the fault to report.
+        bad = [c for c in line if "\udc80" <= c <= "\udcff"]
+        if bad:
+            raise DimacsParseError(
+                f"line {lineno}: byte 0x{ord(bad[0]) - 0xDC00:02x} is not UTF-8 text"
+            ) from None
+        raise
     if n is None:
         raise DimacsParseError("missing 'p sp n m' header")
     if len(us) != m:

@@ -79,6 +79,25 @@ class TestGenSpecParsing:
         assert f"bad {field} in generator spec" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
+        ("complete:1_0:seed=3", "bad vertex count '1_0'"),
+        ("complete:10:seed=+3", "bad seed '+3'"),
+        ("complete:\u0661\u0660", "bad vertex count '\u0661\u0660'"),  # Arabic-Indic 10
+        ("complete: 10", "bad vertex count ' 10'"),
+        ("sparse:10:2_0", "bad edge count '2_0'"),
+        ("complete:5:wlo=+1", "bad wlo '+1'"),
+        ("complete:5:whi=1e+3", "bad whi '1e+3'"),
+        ("complete:5:int=1\t", "bad int '1\\t'"),
+        ("complete:10:seed=1:seed=2", "repeated generator option 'seed'"),
+        ("sparse:10:wlo=1:whi=5:wlo=2", "repeated generator option 'wlo'"),
+        ("complete:10:20", "complete graph takes no edge count, got '20'"),
+    ])
+    def test_field_dimacs_rejects_is_named(self, capsys, text, message):
+        """Numbers follow the DIMACS numeral rule: ASCII, without "_", "+"
+        or spaces; each option is given once and complete takes no m."""
+        assert main(["metrics", "--gen", text]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
         ("complete:5:seed=-1", "seed must be non-negative, got -1"),
         ("complete:5:int=-1", "integer_weights (int) must be 0 or 1, got -1"),
         ("sparse:9:int=2", "integer_weights (int) must be 0 or 1, got 2"),
@@ -485,10 +504,26 @@ def test_json_report_roundtrip(path_file, tmp_path):
         assert isinstance(r["radius" if r["algo"].startswith("R") else "diameter"], float)
 
 
+def src_env():
+    """os.environ with the repository's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+def test_runs_as_a_module(tmp_path):
+    out = tmp_path / "g.gr"
+    done = subprocess.run(
+        [sys.executable, "-m", "graphmetrics", "gen", "--gen", "complete:4:seed=0",
+         "--output", str(out)],
+        env=src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert load_dimacs(out).n == 4
+
+
 def test_commands_import_numpy_only(tmp_path):
     """scipy more than doubles a numpy-only process's memory, so no command
     may load it, not even indirectly."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         "import sys\n"
         "from graphmetrics.cli import main\n"
@@ -504,9 +539,7 @@ def test_commands_import_numpy_only(tmp_path):
         "    assert main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"

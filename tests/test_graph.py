@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphmetrics import graph as graph_module
 from graphmetrics.graph import (
     DimacsParseError,
     GraphSpec,
@@ -15,6 +16,7 @@ from graphmetrics.graph import (
 )
 
 from conftest import build_graph
+from test_cli import corrupt_dimacs
 
 
 def write_gr(tmp_path, text, name="g.gr"):
@@ -164,6 +166,100 @@ def test_write_load_round_trip(tmp_path_factory, seed, kind, weights):
     assert (back.n, back.m) == (g.n, g.m)
     for name in ("indptr", "indices", "weights"):
         assert getattr(back, name).tobytes() == getattr(g, name).tobytes()
+
+
+def read_lines(path):
+    """The per-line reader on the file, opened as load_dimacs opens it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return graph_module._load_lines(fh)
+
+
+def outcome(load, path):
+    """The CSR arrays' bytes, or the type and message of what load raised."""
+    try:
+        g = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g.n, g.m, g.indptr.tobytes(), g.indices.tobytes(), g.weights.tobytes()
+
+
+# One weight spelled in each way DIMACS files and float() share; "-0" is -0.0.
+WEIGHT_TEXT = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.tuples(st.integers(0, 999), st.integers(0, 999)).map(lambda t: f"{t[0]}.{t[1]}"),
+    st.integers(0, 999).map(lambda k: f".{k}"),
+    st.integers(0, 999).map(lambda k: f"{k}."),
+    st.tuples(st.integers(0, 99), st.integers(-20, 20)).map(lambda t: f"{t[0]}e{t[1]}"),
+    st.sampled_from(["7", "2.5", ".25", "3.", "1e1", "1e-3", "-0"]),
+)
+COMMENT = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=12).map(
+    lambda t: "c" + t)
+SEPARATOR = st.sampled_from([" ", "  ", "\t", " \t "])
+LINE_END = st.sampled_from(["\n", "\r\n"])
+
+
+@st.composite
+def dimacs_files(draw):
+    """Files the line reader accepts, laid out in the ways DIMACS files
+    vary: comments before and after the header, blank lines, CRLF ends,
+    tabs and runs of spaces, every weight spelling, self-loops and
+    parallel arcs."""
+    n = draw(st.integers(1, 6))
+    ids = st.integers(1, n)
+    arcs = draw(st.lists(st.tuples(ids, ids, WEIGHT_TEXT), max_size=12))
+    lead = draw(st.sampled_from(["", "", "", " "]))  # " c" starts a comment too
+    comment = COMMENT.map(lambda text: lead + text)
+
+    def line(fields):
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        return pad + draw(SEPARATOR).join(fields) + draw(st.sampled_from(["", " ", "\t"]))
+
+    lines = draw(st.lists(comment, max_size=3)) + [line(["p", "sp", str(n), str(len(arcs))])]
+    for u, v, w in arcs:
+        lines += draw(st.lists(st.one_of(comment, st.sampled_from(["", " \t"])), max_size=2))
+        lines.append(line(["a", str(u), str(v), w]))
+    lines += draw(st.lists(comment, max_size=1))
+    return "".join(text + draw(LINE_END) for text in lines).encode()
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None)
+@given(data=st.one_of(dimacs_files(), corrupt_dimacs().map(lambda case: case[0])))
+def test_bulk_reader_agrees_with_line_reader(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("agree") / "g.gr"
+    path.write_bytes(data)
+    assert outcome(load_dimacs, path) == outcome(read_lines, path)
+
+
+def test_plain_files_take_the_bulk_path(tmp_path, monkeypatch):
+    g = generate(GraphSpec(kind="sparse", n=40, seed=3, target_edges=80))
+    written = tmp_path / "written.gr"
+    write_dimacs(g, written)
+    # the layout of perfbench/reference.py: both arc directions, .17g weights
+    rng = np.random.default_rng(5)
+    u, v = rng.integers(1, 31, size=(2, 60))
+    w = rng.uniform(0.0, 100.0, size=60)
+    reference = tmp_path / "reference.gr"
+    reference.write_text("\n".join(
+        ["p sp 30 120"] + [f"a {a} {b} {x:.17g}" for a, b, x in zip(u, v, w)]
+        + [f"a {b} {a} {x:.17g}" for a, b, x in zip(u, v, w)]) + "\n")
+    road = tmp_path / "road.gr"
+    road.write_text(
+        "c 9th DIMACS Implementation Challenge: Shortest Paths\n"
+        "c TIGER/Line graph USA-road-d.NY\nc\n"
+        "p sp 4 6\n"
+        "c graph contains 4 nodes and 6 arcs\nc\n"
+        "a 1 2 803\na 2 1 803\na 2 3 158\na 3 2 158\na 3 4 774\na 4 3 774\n"
+    )
+    expected = {p: outcome(read_lines, p) for p in (written, reference, road)}
+    assert expected[written] == outcome(lambda _: g, written)
+
+    def refuse(lines):
+        raise AssertionError("a plain file was read line by line")
+
+    monkeypatch.setattr(graph_module, "_load_lines", refuse)
+    for path, want in expected.items():
+        assert outcome(load_dimacs, path) == want
 
 
 def lexsort_build(n, u, v, w):
