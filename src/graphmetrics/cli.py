@@ -109,6 +109,14 @@ def _unreachable(exc: DisconnectedGraphError) -> str:
     return f"vertex {exc.vertex + 1} is unreachable from vertex {exc.source + 1}"
 
 
+def _message(exc: Exception) -> str:
+    """The error's text. A MemoryError often carries none (a failed
+    allocation inside numpy or the interpreter), so it gets one."""
+    if isinstance(exc, MemoryError) and not str(exc):
+        return "out of memory"
+    return str(exc)
+
+
 def _ms(seconds: float) -> float:
     return seconds * 1000.0
 
@@ -240,7 +248,7 @@ def run_bench(inputs: list[tuple[str, str]], repeats: int, mode: str) -> list[Be
         except DisconnectedGraphError as exc:
             rows.append(BenchRow(name=name, errors=_unreachable(exc)))
         except (DimacsParseError, GraphValidationError, MemoryError, OSError) as exc:
-            rows.append(BenchRow(name=name, errors=str(exc)))
+            rows.append(BenchRow(name=name, errors=_message(exc)))
     return rows
 
 
@@ -344,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: graph is disconnected; {_unreachable(exc)}", file=sys.stderr)
         return 2
     except (DimacsParseError, GraphValidationError, MemoryError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
     return 0
 

@@ -32,7 +32,12 @@ class DisconnectedGraphError(RuntimeError):
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Dense n x n shortest-path distances (zero diagonal, symmetric)."""
+    """Dense n x n shortest-path distances with a zero diagonal.
+
+    Floyd-Warshall matrices are symmetric bit for bit. Matrices of Dijkstra
+    rows with float weights can differ by one ulp across the diagonal: row
+    i sums a path from i, row j the same path from j.
+    """
 
     values: np.ndarray
 

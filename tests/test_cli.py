@@ -38,6 +38,11 @@ ABOVE_CAP = "p sp 20001 0\n"
 CAP_REFUSAL = "distance matrix refused: n=20001 exceeds cap 20000"
 
 
+def exhausted(path):
+    """A loader that fails as an allocation does: a MemoryError with no text."""
+    raise MemoryError()
+
+
 @pytest.fixture
 def path_file(tmp_path):
     p = tmp_path / "path.gr"
@@ -185,6 +190,18 @@ class TestMetricsCommand:
         assert "too large" in err
         assert "disconnected" not in err
 
+    def test_p2_path_sum_above_float_max_is_silent(self, tmp_path):
+        # Accepted, since w_max * (n - 1) is finite, but the path 2-1-3 sums to
+        # 1.6e308, so Floyd-Warshall's candidate 2 -> 3 overflows to inf.
+        p = tmp_path / "big.gr"
+        p.write_text("p sp 3 2\na 1 2 8e307\na 1 3 8e307\n")
+        assert choose_baseline(load_dimacs(p)) == "floyd"
+        done = subprocess.run(
+            [sys.executable, "-m", "graphmetrics", "metrics", "--input", str(p), "--mode", "p2"],
+            env=src_env(), capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")  # no numpy RuntimeWarning
+        assert "diameter=1.6e+308" in done.stdout
+
     def test_arc_count_mismatch_is_named(self, tmp_path, capsys):
         p = tmp_path / "short.gr"
         p.write_text("".join(PATH_FIXTURE.splitlines(keepends=True)[:5]))  # 4 of 6 arcs
@@ -219,6 +236,11 @@ class TestMetricsCommand:
             out, err = capsys.readouterr()
             assert out == ""
             assert err == f"error: {CAP_REFUSAL}\n"  # not the disconnection
+
+    def test_memory_error_without_text_is_worded(self, monkeypatch, path_file, capsys):
+        monkeypatch.setattr(cli_module, "load_dimacs", exhausted)
+        assert main(["metrics", "--input", path_file]) == 2
+        assert capsys.readouterr() == ("", "error: out of memory\n")
 
     @pytest.mark.parametrize("mode", ["p1", "p2"])
     def test_diameter_target(self, monkeypatch, path_file, tmp_path, mode):
@@ -444,6 +466,14 @@ class TestBenchCommand:
         with open(out, newline="") as fh:
             (row,) = list(csv.DictReader(fh))
         assert row["errors"] == CAP_REFUSAL  # not "vertex 2 is unreachable from vertex 1"
+
+    def test_memory_error_without_text_recorded(self, monkeypatch, path_file, tmp_path):
+        monkeypatch.setattr(cli_module, "load_dimacs", exhausted)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--input", path_file, "--csv", str(out)]) == 0
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["errors"] == "out of memory"
 
     def test_no_inputs_is_an_error(self, capsys):
         assert main(["bench"]) == 2

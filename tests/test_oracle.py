@@ -1,11 +1,15 @@
 import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmetrics import oracle
-from graphmetrics.graph import GraphSpec, generate
+from graphmetrics.graph import GraphSpec, from_arcs, generate
 from graphmetrics.oracle import (
+    FW_BLOCK,
     apsp_repeated_sssp,
     build_matrix,
     choose_baseline,
@@ -93,6 +97,65 @@ class TestFloydWarshall:
         np.testing.assert_allclose(
             apsp_repeated_sssp(g).values, floyd_warshall(g).values, rtol=1e-9
         )
+
+
+def textbook_floyd_warshall(g):
+    """D[i, j] = min(D[i, j], D[i, k] + D[k, j]) for k = 0 .. n-1, one
+    broadcast add per step, from the graph's own arcs."""
+    n = g.n
+    D = np.full((n, n), np.inf)
+    np.fill_diagonal(D, 0.0)
+    for u in range(n):
+        for i in range(g.indptr[u], g.indptr[u + 1]):
+            D[u, g.indices[i]] = g.weights[i]
+    for k in range(n):
+        D = np.minimum(D, D[:, k, None] + D[None, k, :])
+    return D
+
+
+WEIGHT_KINDS = {
+    "zero": lambda rng, m: np.zeros(m),
+    "subnormal": lambda rng, m: rng.integers(0, 4, m) * 5e-324,
+    "integer": lambda rng, m: rng.integers(0, 4, m).astype(float),  # many tied paths
+    "float": lambda rng, m: rng.uniform(0.0, 100.0, m),
+}
+
+
+class TestFloydWarshallEqualsTextbookLoop:
+    """floyd_warshall forms its candidate sums as a BLAS product in blocks of
+    FW_BLOCK rows; the matrix must be the textbook loop's, byte for byte, on
+    sizes around the block edges."""
+
+    @pytest.mark.parametrize("kind", sorted(WEIGHT_KINDS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, FW_BLOCK - 1, FW_BLOCK, FW_BLOCK + 1,
+                                   2 * FW_BLOCK + 1])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.0, 0.05, 0.6]),
+           split=st.booleans())
+    def test_bytes(self, n, kind, seed, density, split):
+        rng = np.random.default_rng(seed)
+        # a random spanning tree (each v > 0 joins some u < v), then random
+        # extra arcs, self-loops and parallel arcs among them
+        u = np.concatenate([np.arange(1, n), rng.integers(0, n, int(density * n * n))])
+        v = np.concatenate([rng.integers(0, np.arange(1, n)), rng.integers(0, n, len(u) - n + 1)])
+        if split and n > 1:  # drop every edge across a cut, so D holds inf
+            side = rng.random(n) < 0.5
+            side[rng.integers(1, n)] = not side[0]
+            keep = side[u] == side[v]
+            u, v = u[keep], v[keep]
+        g = from_arcs(n, u, v, WEIGHT_KINDS[kind](rng, len(u)))
+        expected = textbook_floyd_warshall(g)
+        unreachable = np.flatnonzero(expected[0] == np.inf)
+        if unreachable.size:
+            with pytest.raises(DisconnectedGraphError) as exc:
+                floyd_warshall(g)
+            assert (exc.value.source, exc.value.vertex) == (0, unreachable[0])
+            with mock.patch.object(oracle, "_checked", lambda dist, source: dist):
+                got = floyd_warshall(g).values
+        else:
+            got = floyd_warshall(g).values
+        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == got.T.tobytes()  # symmetric bit for bit
 
 
 class TestScans:
