@@ -2,8 +2,12 @@
 
 Graphs are stored in CSR form (indptr/indices/weights) with 0-based vertex
 ids: DIMACS vertex u + 1 is vertex u here, and the CLI reports vertex u as
-u + 1. Whether a graph is connected is found by the first shortest-path run
-from vertex 0; check_connected answers the same question on its own.
+u + 1. from_arcs builds every graph given as an arc list (DIMACS files, the
+sparse generator); the complete generator writes its graph straight into
+CSR form, with no arc list and no sort, and gives the same bytes. Both apply
+one set of weight rules. Whether a graph is connected is found by the first
+shortest-path run from vertex 0; check_connected answers the same question
+on its own.
 
 load_dimacs has two readers. A plain file (comments, header, then arc lines
 of plain ASCII numbers) is parsed in bulk by numpy's C text reader; any file
@@ -72,22 +76,12 @@ def from_arcs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
         raise GraphValidationError("graph needs at least one vertex")
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    w = np.asarray(w, dtype=np.float64)
-    if u.size:
-        if u.min() < 0 or u.max() >= n or v.min() < 0 or v.max() >= n:
-            raise GraphValidationError("vertex id out of range [0, n)")
-        if not np.isfinite(w).all():
-            raise GraphValidationError("non-finite edge weight")
-        if w.min() < 0:
-            raise GraphValidationError("negative edge weight")
-        w_max = float(w.max())
-        if not math.isfinite(w_max * (n - 1)):  # the most edges a shortest path has
-            raise GraphValidationError(
-                f"edge weight {w_max} too large: a path of {n - 1} edges could overflow"
-            )
+    if u.size and (u.min() < 0 or u.max() >= n or v.min() < 0 or v.max() >= n):
+        raise GraphValidationError("vertex id out of range [0, n)")
+    w = _edge_weights(n, w)
 
     keep = u != v  # self-loops never shorten a path
-    u, v, w = u[keep], v[keep], w[keep] + 0.0  # + 0.0 turns -0.0 into +0.0
+    u, v, w = u[keep], v[keep], w[keep]
 
     # One int64 key per arc, both directions, orders the arcs by (u, v), the
     # CSR order, with a single sort instead of a sort per field. It needs
@@ -107,9 +101,57 @@ def from_arcs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
 
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return _frozen(n, key.size // 2, indptr, indices, weights)
+
+
+def _complete(n: int, w: np.ndarray) -> Graph:
+    """The complete graph whose edge (u, v), u < v, weighs w[k] for the k-th
+    pair of np.triu_indices(n, 1): the Graph from_arcs builds from those arcs.
+
+    Row u of its CSR form holds every v != u in ascending order, which is row
+    u of the symmetric weight matrix without its diagonal entry. Dropping the
+    first entry of the flat n x n matrix leaves n - 1 rows of n + 1 entries,
+    each ending on a diagonal entry; without that last column they hold the
+    off-diagonal entries in row order, so no arc list is built or sorted.
+    """
+    w = _edge_weights(n, w)
+    upper = ~np.tri(n, dtype=bool)  # row-major order of the mask is triu order
+    W = np.zeros((n, n))
+    W[upper] = w
+    W.T[upper] = w  # the mirror entries, so W is symmetric with a +0.0 diagonal
+    cols = np.empty((n, n), dtype=np.int64)
+    cols[:] = np.arange(n)
+
+    def off_diagonal(a: np.ndarray) -> np.ndarray:
+        return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].reshape(-1)
+
+    indptr = np.arange(n + 1) * (n - 1)
+    return _frozen(n, w.size, indptr, off_diagonal(cols), off_diagonal(W))
+
+
+def _edge_weights(n: int, w) -> np.ndarray:
+    """Edge weights as float64 with -0.0 stored as +0.0, once they pass the
+    rules of every graph: finite, non-negative, and no shortest path (at
+    most n - 1 edges) can overflow."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.size:
+        if not np.isfinite(w).all():
+            raise GraphValidationError("non-finite edge weight")
+        if w.min() < 0:
+            raise GraphValidationError("negative edge weight")
+        w_max = float(w.max())
+        if not math.isfinite(w_max * (n - 1)):  # the most edges a shortest path has
+            raise GraphValidationError(
+                f"edge weight {w_max} too large: a path of {n - 1} edges could overflow"
+            )
+    return w + 0.0  # + 0.0 turns -0.0 into +0.0
+
+
+def _frozen(n: int, m: int, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray) -> Graph:
+    """The Graph of these CSR arrays, made read-only."""
     for a in (indptr, indices, weights):
         a.flags.writeable = False  # shared by every search on the graph
-    return Graph(n=n, m=key.size // 2, indptr=indptr, indices=indices, weights=weights)
+    return Graph(n=n, m=m, indptr=indptr, indices=indices, weights=weights)
 
 
 def load_dimacs(path) -> Graph:
@@ -347,9 +389,7 @@ def generate(spec: GraphSpec) -> Graph:
     rng = np.random.default_rng(spec.seed)
     n = spec.n
     if spec.kind == "complete":
-        u, v = np.triu_indices(n, k=1)
-        w = _draw_weights(rng, u.size, spec)
-        return from_arcs(n, u.astype(np.int64), v.astype(np.int64), w)
+        return _complete(n, _draw_weights(rng, n * (n - 1) // 2, spec))
 
     target = spec.target_edges if spec.target_edges is not None else 2 * n
     perm = rng.permutation(n)

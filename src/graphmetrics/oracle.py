@@ -12,17 +12,19 @@ from .graph import Graph
 from .sssp import DistanceMatrix, _checked, sssp, sssp_vectorized
 
 # The largest n of any distance matrix built here: 20 000^2 float64 is
-# 3.2 GB. floyd_warshall holds one such array plus a FW_BLOCK-row block.
+# 3.2 GB. floyd_warshall holds one such array plus one FW_BLOCK_BYTES block.
 MATRIX_CAP = 20_000
 
-# Rows of each block of candidate sums floyd_warshall forms at once, so that
-# a block and the rows of D it updates stay in cache. Per build (complete
-# graphs, seed 0, best of 1 to 30, 2-core x86 with 2 MiB of L2 per core):
-# - n = 120: 64 rows 2.95 ms; 128 or more rows (one block) 1.7 to 1.9 ms;
-# - n = 300: 64 / 128 / 192 / 256 rows 22.5 / 18.9 / 17.2 / 18.0 ms;
-# - n = 1000: 0.82 / 0.83 / 1.20 / 1.34 s (the broadcast add took 2.4 s);
-# - n = 1500: 64 / 128 rows 3.0 / 4.4 s, as 128 rows outgrow the cache.
-FW_BLOCK = 128
+# Bytes of each block of candidate sums floyd_warshall forms at once: at most
+# FW_BLOCK_BYTES // (8 n) rows, and at least one. A block and the rows of D
+# it updates, 1 MiB together, stay in a 2 MiB L2 cache. Per build (complete
+# graphs, seed 0, best of 2 to 30, two series, 2-core x86 with 2 MiB of L2
+# per core):
+# - n = 120: one block, 1.9 to 2.0 ms (64 rows 2.1 to 2.2 ms);
+# - n = 300: 218 rows, 21 to 23 ms; 64 rows and one block were level with it;
+# - n = 1000: 65 rows, 0.78 to 0.98 s (128 rows 0.96 to 1.17 s);
+# - n = 1500: 43 rows, 2.8 to 3.2 s, level with 64 rows (128 rows 4.4 s).
+FW_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -66,14 +68,15 @@ def floyd_warshall(g: Graph) -> DistanceMatrix:
     """Classic triple-loop APSP, vectorized over the inner two indices.
 
     Step k forms every candidate D[i, k] + D[k, j] as the rank-2 product
-    [D[:, k], 1] @ [1; D[k, :]], one BLAS call per FW_BLOCK rows, and keeps
-    the smaller of each candidate and D[i, j]. Both product terms are exact
-    (x * 1 and 1 * y) and both sums are non-negative, so however BLAS orders
-    the sum, with or without a fused multiply-add, each entry is rounded once
-    and holds the bits of D[i, k] + D[k, j]; the matrix is that of the
-    textbook broadcast add, bit for bit, and symmetric bit for bit. Row k
-    and column k do not change during step k (D[k, k] is +0.0), so they are
-    copied once per step and the blocks are updated in place.
+    [D[:, k], 1] @ [1; D[k, :]], one BLAS call per block of rows (see
+    FW_BLOCK_BYTES), and keeps the smaller of each candidate and D[i, j].
+    Both product terms are exact (x * 1 and 1 * y) and both sums are
+    non-negative, so however BLAS orders the sum, with or without a fused
+    multiply-add, each entry is rounded once and holds the bits of
+    D[i, k] + D[k, j]; the matrix is that of the textbook broadcast add, bit
+    for bit, and symmetric bit for bit. Row k and column k do not change
+    during step k (D[k, k] is +0.0), so they are copied once per step and
+    the blocks are updated in place.
 
     The product runs under errstate(over, invalid = ignore). BLAS padding
     lanes can compute 0 * inf when D holds inf, which sets the invalid flag
@@ -90,14 +93,15 @@ def floyd_warshall(g: Graph) -> DistanceMatrix:
     D[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = g.weights
     col = np.ones((n, 2))  # column 0 holds D[:, k]
     row = np.ones((2, n))  # row 1 holds D[k, :]
-    tmp = np.empty((min(n, FW_BLOCK), n))  # one block of candidates, reused
+    rows = max(1, FW_BLOCK_BYTES // D[0].nbytes)
+    tmp = np.empty((min(n, rows), n))  # one block of candidates, reused
     for k in range(n):
         col[:, 0] = D[:, k]
         row[1] = D[k]
-        for lo in range(0, n, FW_BLOCK):
-            block = D[lo:lo + FW_BLOCK]
+        for lo in range(0, n, rows):
+            block = D[lo:lo + rows]
             sums = tmp[:len(block)]
-            _sums(col[lo:lo + FW_BLOCK], row, sums)
+            _sums(col[lo:lo + rows], row, sums)
             np.minimum(block, sums, out=block)
     _checked(D[0], 0)  # undirected: some entry is inf exactly when row 0 holds one
     return DistanceMatrix(D)
@@ -119,20 +123,29 @@ def scan_radius(M: DistanceMatrix) -> tuple[float, int]:
 
 
 def scan_diameter(M: DistanceMatrix) -> tuple[float, tuple[int, int]]:
-    """Trivial diameter scan over the matrix (DC2).
+    """Trivial diameter scan over the matrix (DC2): the matrix maximum and
+    the first pair holding it, sorted so that a < b.
 
-    The flat maximum equals the upper-triangle maximum: the diagonal is zero,
-    entries are non-negative and the matrix is symmetric.
+    A matrix built by Dijkstra with float weights can hold d(a, b) and
+    d(b, a) one ulp apart, so the maximum may sit below the diagonal only;
+    it is reported as found, whichever direction holds it. The maximum
+    lies on the diagonal only when every entry is 0, and then (0, 1) holds
+    it too.
     """
     flat = int(M.values.argmax())
     i, j = divmod(flat, M.n)
-    if i > j:
-        i, j = j, i
-    return float(M.values[i, j]), (i, j)
+    if i == j and M.n > 1:
+        i, j = 0, 1
+    return float(M.values[i, j]), (min(i, j), max(i, j))
 
 
 def scan_metrics(M: DistanceMatrix) -> OracleMetrics:
-    """Exhaustive scan: radius, diameter and ALL centers / peripheral pairs."""
+    """Exhaustive scan: radius, diameter and ALL centers / peripheral pairs.
+
+    The diameter is the matrix maximum. The peripheral pairs are every
+    unordered pair (a, b), a < b, whose larger direction max(M[a, b],
+    M[b, a]) equals it, in ascending order.
+    """
     values = M.values
     row_max = values.max(axis=1)
     radius = float(row_max.min())
@@ -142,8 +155,10 @@ def scan_metrics(M: DistanceMatrix) -> OracleMetrics:
         pairs: list[tuple[int, int]] = []
     else:
         diameter = float(row_max.max())
-        ii, jj = np.nonzero(values == diameter)
-        pairs = [(int(a), int(b)) for a, b in zip(ii, jj) if a < b]
+        hit = values == diameter
+        hit |= hit.T  # either direction of a pair may hold the maximum
+        ii, jj = np.nonzero(hit)
+        pairs = [(a, b) for a, b in zip(ii.tolist(), jj.tolist()) if a < b]
     return OracleMetrics(
         radius=radius,
         all_centers=centers,

@@ -71,6 +71,7 @@ FINGERPRINT_SPECS = [
     "complete:2:seed=4:wlo=0:whi=3:int=1",
     "complete:7:seed=5:wlo=0:whi=2:int=1",
     "complete:9:seed=6:wlo=0:whi=100:int=0",
+    "complete:1000:seed=0:wlo=0:whi=100:int=0",
 ]
 
 

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +190,13 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert "too large" in err
         assert "disconnected" not in err
+
+    def test_overflowing_complete_weight_is_named(self, capsys):
+        assert main(["metrics", "--gen", "complete:50:seed=0:wlo=0:whi=1e308:int=0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: edge weight 9.995013522570268e+307 too large: "
+            "a path of 49 edges could overflow\n"
+        )
 
     def test_p2_path_sum_above_float_max_is_silent(self, tmp_path):
         # Accepted, since w_max * (n - 1) is finite, but the path 2-1-3 sums to
@@ -381,6 +389,16 @@ class TestOracleCommand:
     def test_path_centers(self, path_file, capsys):
         assert main(["oracle", "--input", path_file]) == 0
         assert "centers: [2, 3]" in capsys.readouterr().out
+
+    def test_peripheral_pair_below_the_diagonal_is_reported(self, capsys):
+        # This float graph's Dijkstra-built matrix holds its maximum only as
+        # d(25, 15), in DIMACS ids; the pair is still found, as two distinct
+        # vertices.
+        assert main(["oracle", "--gen", "sparse:100:300:seed=6:wlo=0:whi=100:int=0"]) == 0
+        out = capsys.readouterr().out
+        a, b = map(int, re.search(r"DC1: .* pair=\((\d+), (\d+)\)", out).groups())
+        assert a != b
+        assert f"peripheral pairs: [({a}, {b})]" in out
 
     def test_disconnected_exits_nonzero(self, tmp_path, capsys):
         p = tmp_path / "two.gr"

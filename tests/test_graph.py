@@ -403,6 +403,48 @@ class TestGenerate:
             assert seen[(v, u)] == w
 
 
+@st.composite
+def complete_specs(draw):
+    """Complete-graph specs from n = 1, with integer and float weights, equal
+    bounds and a lower bound of -0.0."""
+    hi = draw(st.sampled_from([0.0, 1.0, 3.0, 100.0, 1e300]))
+    lo = draw(st.sampled_from([-0.0, 0.0, hi, hi / 2]))
+    return GraphSpec(kind="complete", n=draw(st.integers(1, 40)), seed=draw(st.integers(0, 2**32)),
+                     weight_range=(lo, hi), integer_weights=draw(st.booleans()) and hi < 1e18)
+
+
+class TestCompleteBuild:
+    """generate writes complete graphs straight into CSR form; the graph must
+    be the one from_arcs builds from the same draws, byte for byte."""
+
+    @staticmethod
+    def assert_same_graph(g, h):
+        assert (g.n, g.m) == (h.n, h.m)
+        for name in ("indptr", "indices", "weights"):
+            got, want = getattr(g, name), getattr(h, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable and not want.flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(complete_specs())
+    def test_same_bytes_as_from_arcs(self, spec):
+        n = spec.n
+        u, v = np.triu_indices(n, 1)
+        w = graph_module._draw_weights(np.random.default_rng(spec.seed), u.size, spec)
+        self.assert_same_graph(generate(spec), from_arcs(n, u, v, w))
+        signed = np.where(w == 0, -0.0, w)  # stored as +0.0 by both builders
+        self.assert_same_graph(graph_module._complete(n, signed), from_arcs(n, u, v, signed))
+
+    def test_weight_rules_are_from_arcs_rules(self):
+        for w, match in (([1.0, np.nan, 1.0], "non-finite"), ([1.0, -1.0, 1.0], "negative"),
+                         ([1e308, 1.0, 1.0], "a path of 2 edges could overflow")):
+            with pytest.raises(GraphValidationError, match=match):
+                graph_module._complete(3, np.array(w))
+            with pytest.raises(GraphValidationError, match=match):
+                from_arcs(3, *np.triu_indices(3, 1), np.array(w))
+
+
 class TestConnectivity:
     def test_path_connected(self, path4):
         assert check_connected(path4)

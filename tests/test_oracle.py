@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from graphmetrics import oracle
 from graphmetrics.graph import GraphSpec, from_arcs, generate
 from graphmetrics.oracle import (
-    FW_BLOCK,
     apsp_repeated_sssp,
     build_matrix,
     choose_baseline,
@@ -121,14 +120,18 @@ WEIGHT_KINDS = {
 }
 
 
+# A block budget of 128 rows of 128 floats: n = 127 and 128 run as one block,
+# n = 129 as 127 + 2 rows and n = 257 as four blocks of 63 rows and one of 5.
+SMALL_BLOCK_BYTES = 128 * 128 * 8
+
+
 class TestFloydWarshallEqualsTextbookLoop:
     """floyd_warshall forms its candidate sums as a BLAS product in blocks of
-    FW_BLOCK rows; the matrix must be the textbook loop's, byte for byte, on
-    sizes around the block edges."""
+    FW_BLOCK_BYTES; the matrix must be the textbook loop's, byte for byte, on
+    sizes around the block edges of a small budget."""
 
     @pytest.mark.parametrize("kind", sorted(WEIGHT_KINDS))
-    @pytest.mark.parametrize("n", [1, 2, 3, 9, FW_BLOCK - 1, FW_BLOCK, FW_BLOCK + 1,
-                                   2 * FW_BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 127, 128, 129, 257])
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.0, 0.05, 0.6]),
            split=st.booleans())
@@ -146,16 +149,31 @@ class TestFloydWarshallEqualsTextbookLoop:
         g = from_arcs(n, u, v, WEIGHT_KINDS[kind](rng, len(u)))
         expected = textbook_floyd_warshall(g)
         unreachable = np.flatnonzero(expected[0] == np.inf)
-        if unreachable.size:
-            with pytest.raises(DisconnectedGraphError) as exc:
-                floyd_warshall(g)
-            assert (exc.value.source, exc.value.vertex) == (0, unreachable[0])
-            with mock.patch.object(oracle, "_checked", lambda dist, source: dist):
+        with mock.patch.object(oracle, "FW_BLOCK_BYTES", SMALL_BLOCK_BYTES):
+            if unreachable.size:
+                with pytest.raises(DisconnectedGraphError) as exc:
+                    floyd_warshall(g)
+                assert (exc.value.source, exc.value.vertex) == (0, unreachable[0])
+                with mock.patch.object(oracle, "_checked", lambda dist, source: dist):
+                    got = floyd_warshall(g).values
+            else:
                 got = floyd_warshall(g).values
-        else:
-            got = floyd_warshall(g).values
         assert got.tobytes() == expected.tobytes()
         assert got.tobytes() == got.T.tobytes()  # symmetric bit for bit
+
+    @pytest.mark.parametrize("n, blocks", [(120, [120]), (300, [218, 82])])
+    def test_block_rows_follow_the_budget(self, n, blocks):
+        # complete-matrix-p2's n = 120 runs as one block per step
+        seen = []
+        real = oracle._sums
+
+        def spy(col, row, out):
+            seen.append(len(out))
+            real(col, row, out)
+
+        with mock.patch.object(oracle, "_sums", spy):
+            floyd_warshall(generate(GraphSpec(kind="complete", n=n, seed=0)))
+        assert seen == blocks * n
 
 
 class TestScans:
@@ -174,13 +192,20 @@ class TestScans:
         assert len(om.all_peripheral_pairs) == 6
 
     def test_scan_pieces_agree_with_metrics(self):
-        g = generate(GraphSpec(kind="sparse", n=70, seed=12, target_edges=180))
-        M = apsp_repeated_sssp(g)
-        om = scan_metrics(M)
-        radius, center = scan_radius(M)
-        diameter, pair = scan_diameter(M)
-        assert radius == om.radius and center in om.all_centers
-        assert diameter == om.diameter and pair in om.all_peripheral_pairs
+        for spec in (
+            GraphSpec(kind="sparse", n=70, seed=12, target_edges=180),
+            # float weights: the matrix maximum lies only below the diagonal
+            GraphSpec(kind="sparse", n=100, seed=6, target_edges=300),
+        ):
+            M = apsp_repeated_sssp(generate(spec))
+            om = scan_metrics(M)
+            radius, center = scan_radius(M)
+            diameter, pair = scan_diameter(M)
+            assert radius == om.radius and center in om.all_centers
+            assert diameter == om.diameter == M.values.max()
+            assert pair in om.all_peripheral_pairs
+            for a, b in om.all_peripheral_pairs:
+                assert a < b and max(M.values[a, b], M.values[b, a]) == diameter
 
     def test_radius_diameter_sandwich(self):
         for seed in range(5):
@@ -192,6 +217,11 @@ class TestScans:
         om = scan_metrics(apsp_repeated_sssp(build_graph(1, [])))
         assert om.radius == om.diameter == 0.0
         assert om.all_peripheral_pairs == []
+
+    def test_all_zero_matrix_pair_is_distinct(self):
+        M = apsp_repeated_sssp(build_graph(3, [(0, 1, 0.0), (1, 2, 0.0)]))
+        assert scan_diameter(M) == (0.0, (0, 1))
+        assert scan_metrics(M).all_peripheral_pairs == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_baseline_choice():
