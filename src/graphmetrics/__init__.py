@@ -3,7 +3,7 @@ undirected graphs using pivot-based bound tightening, with brute-force
 oracles and a benchmark harness.
 """
 
-from .diameter import DiameterResult, diameter_p1, diameter_p2, initial_lower_bound
+from .diameter import DiameterResult, diameter_p1, diameter_p2
 from .graph import (
     DimacsParseError,
     Graph,
@@ -51,7 +51,6 @@ __all__ = [
     "find_radius",
     "floyd_warshall",
     "generate",
-    "initial_lower_bound",
     "load_dimacs",
     "scan_diameter",
     "scan_metrics",

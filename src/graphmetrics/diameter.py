@@ -1,15 +1,18 @@
 """Diameter and peripheral-pair search on top of a completed radius search.
 
-Both variants first bound the diameter from below by the largest distance
-between pivots collected while finding the center, then scan whole rows, one
-read each, of the vertices the triangle inequality through the center cannot
-rule out. The matrix-backed variant scans every vertex farther than half the
-bound from the center. The on-demand variant visits vertices in descending
-center distance (iFUB order) and stops at the first position where the two
-largest remaining center distances sum to no more than the bound. It also
-bounds every vertex from above by the rows it already holds,
-ecc(k) <= d(x, k) + ecc(x) for each held row x, and passes over a vertex
-without an SSSP where that bound cannot beat the current lower bound.
+Both variants start the lower bound at d(p1, p2) = ecc(p1), where (p1, p2)
+is the far pair the radius search's farthest-vertex walk ended on (the
+double-sweep bound of Magnien, Latapy & Habib, JEA 2009), then scan whole
+rows, one read each, of the vertices the triangle inequality through the
+center cannot rule out. The matrix-backed variant scans every vertex
+farther than half the bound from the center. The on-demand variant visits
+vertices in descending center distance (iFUB order) and stops at the first
+position where the two largest remaining center distances sum to no more
+than the bound. It also bounds every vertex from above by the rows it
+already holds, ecc(k) <= d(x, k) + ecc(x) for each held row x, and passes
+over a vertex without an SSSP where that bound cannot beat the current
+lower bound. One or two vertices need no special case: (p1, p2) is then the
+only pair, and neither scan finds a distance that beats it.
 
 Both report the peripheral pair (k, l) with the distance d(k, l) read from
 row k. With float weights the same shortest path summed from l can differ by
@@ -46,27 +49,17 @@ class DiameterResult:
 
 def build_candidate_order(center_dist: np.ndarray) -> np.ndarray:
     """Vertex ids by distance to the center, descending (ties: smaller id)."""
-    n = center_dist.shape[0]
-    return np.lexsort((np.arange(n), -center_dist))
+    return np.argsort(-center_dist, kind="stable")
 
 
-def initial_lower_bound(
-    pivots: list[int], provider: DistanceProvider
+def _far_pair_bound(
+    rr: RadiusResult, provider: DistanceProvider
 ) -> tuple[float, tuple[int, int]]:
-    """Largest distance over ordered pivot pairs; first achieving pair wins.
-
-    Reads only the pivots' rows, which the radius search already holds.
-    """
-    best = -np.inf
-    pair = (pivots[0], pivots[0])
-    for a, p in enumerate(pivots):
-        row = provider.row(p)
-        for q in pivots[a + 1:]:
-            v = float(row[q])
-            if v > best:
-                best = v
-                pair = (p, q)
-    return best, pair
+    """d(p1, p2) and (p1, p2) for the far pair that starts rr.pivots
+    (p2 = p1 on one vertex), read through row p1."""
+    p1, *rest = rr.pivots
+    p2 = rest[0] if rest else p1
+    return float(provider.row(p1)[p2]), (p1, p2)
 
 
 def _result(
@@ -92,13 +85,6 @@ def _result(
     )
 
 
-def _tiny_result(provider: DistanceProvider, rr: RadiusResult) -> DiameterResult:
-    """n <= 2: the only pair is (0, n - 1), at distance 0 when n == 1."""
-    last = provider.n - 1
-    value = float(provider.row(0)[last])
-    return _result(provider, rr, value, (0, last), [value])
-
-
 def diameter_p2(
     matrix: DistanceMatrix,
     rr: RadiusResult,
@@ -106,15 +92,14 @@ def diameter_p2(
 ) -> DiameterResult:
     """Matrix-backed diameter search (Problem 2).
 
-    Only rows of vertices farther than half the current lower bound from the
-    center can contain a distance beating the bound; the half-bound filter is
-    re-evaluated against the updated bound before each row is scanned.
+    The lower bound starts at d(p1, p2) for the radius search's far pair
+    (p1, p2). Only rows of vertices farther than half the current lower
+    bound from the center can contain a distance beating the bound; the
+    half-bound filter is re-evaluated against the updated bound before each
+    row is scanned.
     Every row is read through the provider, so its counters include them.
     """
-    if matrix.n <= 2:
-        return _tiny_result(provider, rr)
-
-    d_l, pair = initial_lower_bound(rr.pivots, provider)
+    d_l, pair = _far_pair_bound(rr, provider)
     trace = [d_l]
     center_row = provider.row(rr.center)
     # Superset of survivors under the initial bound; the bound only grows.
@@ -134,15 +119,19 @@ def diameter_p2(
     return _result(provider, rr, d_l, pair, trace, vertices_scanned=scanned)
 
 
+# An overflowed sum row + ecc is inf, which never beats a finite label and
+# only weakens a bound.
+@np.errstate(over="ignore")
 def diameter_p1(
     g: Graph, rr: RadiusResult, provider: DistanceProvider
 ) -> DiameterResult:
     """On-demand diameter search (Problem 1).
 
-    Vertices are visited in descending distance from the center, as in iFUB
-    (Crescenzi et al., TCS 2013). Each visited vertex's whole row is read
-    once and its maximum raises the bound, which settles every pair that
-    vertex is in. Any two vertices not yet visited are at most
+    The lower bound starts at d(p1, p2) for the radius search's far pair
+    (p1, p2). Vertices are visited in descending distance from the center,
+    as in iFUB (Crescenzi et al., TCS 2013). Each visited vertex's whole row
+    is read once and its maximum raises the bound, which settles every pair
+    that vertex is in. Any two vertices not yet visited are at most
     sd[i] + sd[i + 1] apart (triangle inequality through the center), so the
     scan stops at the first position where that sum cannot beat the bound.
     Every row the provider holds, from the radius search or from this scan,
@@ -152,9 +141,6 @@ def diameter_p1(
     an SSSP: its row could not raise the bound.
     """
     n = g.n
-    if n <= 2:
-        return _tiny_result(provider, rr)
-
     center_row = provider.row(rr.center)
     ids = build_candidate_order(center_row)
     order, sd = ids.tolist(), center_row[ids].tolist()
@@ -170,7 +156,7 @@ def diameter_p1(
     for x, row in provider.held_rows().items():
         hold(x, row)
 
-    d_l, pair = initial_lower_bound(rr.pivots, provider)
+    d_l, pair = _far_pair_bound(rr, provider)
     trace = [d_l]
     pairs_checked = scanned = bounded = 0
     for i in range(n - 1):

@@ -76,6 +76,8 @@ WARMUP_ROUNDS = 2
 THIN = 32
 
 
+# An overflowed sum d[u] + w is inf, which never beats a finite label.
+@np.errstate(over="ignore")
 def sssp(g: Graph, source: int) -> np.ndarray:
     """Distances from source to every vertex, as a float64 array with
     row[source] == 0.

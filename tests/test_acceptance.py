@@ -22,7 +22,6 @@ from graphmetrics.diameter import (
     DiameterResult,
     diameter_p1,
     diameter_p2,
-    initial_lower_bound,
 )
 from graphmetrics.graph import Graph, GraphSpec, generate
 from graphmetrics.oracle import (
@@ -260,7 +259,7 @@ def test_criterion_6_pruning_soundness():
         provider = DistanceProvider.from_matrix(matrix)
         rr = find_radius(provider)
         c = rr.center
-        d_l, _ = initial_lower_bound(rr.pivots, provider)
+        d_l = M[rr.pivots[0], rr.pivots[1]]
         diameter = float(M.max())
 
         # Half-bound row filter: if both endpoints sit within d/2 of the

@@ -7,10 +7,9 @@ from graphmetrics.diameter import (
     build_candidate_order,
     diameter_p1,
     diameter_p2,
-    initial_lower_bound,
 )
 from graphmetrics.graph import GraphSpec, generate
-from graphmetrics.oracle import apsp_repeated_sssp, scan_metrics
+from graphmetrics.oracle import apsp_repeated_sssp, scan_diameter, scan_metrics
 from graphmetrics.radius import find_radius
 from graphmetrics.sssp import DistanceProvider
 
@@ -20,32 +19,6 @@ from test_radius import seeded_cases
 
 def unit_complete(n):
     return generate(GraphSpec(kind="complete", n=n, seed=0, weight_range=(1.0, 1.0)))
-
-
-class TestInitialLowerBound:
-    def test_path_pivots(self, path4):
-        p = DistanceProvider.on_demand(path4)
-        rr = find_radius(p)
-        assert rr.pivots[:2] == [3, 0]
-        d_l, pair = initial_lower_bound(rr.pivots, p)
-        assert (d_l, pair) == (3.0, (3, 0))
-
-    def test_complete_unit(self):
-        g = unit_complete(4)
-        p = DistanceProvider.on_demand(g)
-        rr = find_radius(p)
-        d_l, _ = initial_lower_bound(rr.pivots, p)
-        assert d_l == 1.0
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_never_exceeds_diameter(self, seed):
-        g = generate(GraphSpec(kind="sparse", n=90, seed=seed, target_edges=220))
-        M = apsp_repeated_sssp(g)
-        p = DistanceProvider.from_matrix(M)
-        rr = find_radius(p)
-        d_l, pair = initial_lower_bound(rr.pivots, p)
-        assert d_l <= scan_metrics(M).diameter
-        assert M.values[pair] == d_l
 
 
 class TestCandidateOrder:
@@ -95,7 +68,7 @@ class TestDiameterP2:
         M2 = apsp_repeated_sssp(g2)
         p2 = DistanceProvider.from_matrix(M2)
         dr = diameter_p2(M2, find_radius(p2), p2)
-        assert (dr.diameter, dr.peripheral_pair) == (4.0, (0, 1))
+        assert (dr.diameter, dr.peripheral_pair) == (4.0, (1, 0))
 
 
     def test_counts_every_row_read(self):
@@ -105,8 +78,8 @@ class TestDiameterP2:
         p = DistanceProvider.from_matrix(M)
         rr = find_radius(p)
         dr = diameter_p2(M, rr, provider=p)
-        # pivot rows for the initial bound, the center row, the scanned rows
-        assert dr.rows_accessed - rr.rows_accessed == len(rr.pivots) + 1 + dr.vertices_scanned
+        # row p1 for the initial bound, the center row, the scanned rows
+        assert dr.rows_accessed - rr.rows_accessed == 2 + dr.vertices_scanned
         assert dr.vertices_scanned > 0
         assert dr.vertices_bounded == 0
 
@@ -130,7 +103,7 @@ class TestDiameterP1:
         g = build_graph(2, [(0, 1, 4.0)])
         p = DistanceProvider.on_demand(g)
         dr = diameter_p1(g, find_radius(p), p)
-        assert (dr.diameter, dr.peripheral_pair) == (4.0, (0, 1))
+        assert (dr.diameter, dr.peripheral_pair) == (4.0, (1, 0))
 
 
     def test_reads_one_row_per_pair(self):
@@ -148,8 +121,8 @@ class TestDiameterP1:
         p = DistanceProvider.on_demand(g)
         rr = find_radius(p)
         dr = diameter_p1(g, rr, p)
-        # pivot rows for the initial bound, the center row, one read per scanned row
-        assert dr.rows_accessed - rr.rows_accessed == len(rr.pivots) + 1 + dr.vertices_scanned
+        # row p1 for the initial bound, the center row, one read per scanned row
+        assert dr.rows_accessed - rr.rows_accessed == 2 + dr.vertices_scanned
         assert dr.vertices_scanned > 0
 
 
@@ -167,7 +140,8 @@ def ifub_scan(g):
     center_row = provider.row(rr.center)
     ids = build_candidate_order(center_row)
     sd = center_row[ids]
-    d_l, pair = initial_lower_bound(rr.pivots, provider)
+    p1, p2 = rr.pivots[:2]
+    d_l, pair = float(provider.row(p1)[p2]), (p1, p2)
     trace = [d_l]
     for i in range(g.n - 1):
         if sd[i] + sd[i + 1] <= d_l:
@@ -219,7 +193,7 @@ class TestHeldRowBound:
         assert (dr.diameter, dr.peripheral_pair, dr.d_lower_trace) == (d_l, pair, trace)
         assert dr.pairs_checked == pairs_checked
         assert dr.vertices_scanned + dr.vertices_bounded == visited
-        assert dr.rows_accessed - rr.rows_accessed == len(rr.pivots) + 1 + dr.vertices_scanned
+        assert dr.rows_accessed - rr.rows_accessed == 2 + dr.vertices_scanned
 
     def test_same_scan_as_without_the_bound(self):
         """Over many graphs the bound passes over vertices, and the scan's
@@ -259,14 +233,17 @@ class TestZeroDiameter:
     @pytest.mark.parametrize("g", [
         generate(GraphSpec(kind="complete", n=4, seed=0, weight_range=(0.0, 0.0))),
         build_graph(3, [(0, 1, 0.0), (1, 2, 0.0)]),
-    ], ids=["complete4", "path3"])
+        build_graph(2, [(0, 1, 0.0)]),
+        build_graph(1, []),
+    ], ids=["complete4", "path3", "edge2", "vertex1"])
     def test_pair_is_two_vertices(self, g):
         M = apsp_repeated_sssp(g)
         p1, p2 = DistanceProvider.on_demand(g), DistanceProvider.from_matrix(M)
         for dr in (diameter_p1(g, find_radius(p1), p1), diameter_p2(M, find_radius(p2), p2)):
             a, b = dr.peripheral_pair
-            assert dr.diameter == 0.0 and a != b
-            assert dr.peripheral_pair == scan_metrics(M).all_peripheral_pairs[0]
+            assert dr.diameter == 0.0 and (a != b) == (g.n > 1)
+            # scan_metrics lists no pair on one vertex; scan_diameter gives (0, 0)
+            assert (dr.diameter, dr.peripheral_pair) == scan_diameter(M)
 
 
 class TestExactness:
@@ -282,7 +259,7 @@ class TestExactness:
         rr2 = find_radius(p2)
         dr2 = diameter_p2(M, rr2, provider=p2)
         for rr, dr in ((rr1, dr1), (rr2, dr2)):  # no row is read twice
-            assert dr.rows_accessed - rr.rows_accessed == len(rr.pivots) + 1 + dr.vertices_scanned
+            assert dr.rows_accessed - rr.rows_accessed == 2 + dr.vertices_scanned
 
         assert dr1.diameter == oracle.diameter == dr2.diameter
         assert M.values[dr1.peripheral_pair] == oracle.diameter
@@ -294,11 +271,14 @@ class TestExactness:
     def test_lower_bound_trace(self, g):
         M = apsp_repeated_sssp(g)
         oracle = scan_metrics(M)
-        p = DistanceProvider.from_matrix(M)
-        dr = diameter_p2(M, find_radius(p), provider=p)
-        assert dr.d_lower_trace == sorted(dr.d_lower_trace)
-        assert all(v <= oracle.diameter for v in dr.d_lower_trace)
-        assert dr.d_lower_trace[-1] == oracle.diameter
+        p1, p2 = DistanceProvider.on_demand(g), DistanceProvider.from_matrix(M)
+        rr1, rr2 = find_radius(p1), find_radius(p2)
+        for rr, dr in ((rr1, diameter_p1(g, rr1, p1)), (rr2, diameter_p2(M, rr2, provider=p2))):
+            # the start is a real distance: the radius search's far pair
+            assert dr.d_lower_trace[0] == M.values[rr.pivots[0], rr.pivots[1]]
+            assert dr.d_lower_trace == sorted(dr.d_lower_trace)
+            assert all(v <= oracle.diameter for v in dr.d_lower_trace)
+            assert dr.d_lower_trace[-1] == oracle.diameter
 
 
 class TestPruningSoundness:
