@@ -182,7 +182,7 @@ def run_oracle(g: Graph, name: str, seed: int | None):
     matrix, build_s = _timed(build_matrix, g)
     metrics, scan_s = _timed(scan_metrics, matrix)
     sssp_count = g.n if choose_baseline(g) == "dijkstra" else 0
-    pair = metrics.all_peripheral_pairs[0] if metrics.all_peripheral_pairs else (0, 0)
+    pair = metrics.all_peripheral_pairs[0]
     reports = [
         _report(g, name, seed, "RC1", build_s + scan_s, sssp_count, g.n,
                 radius=metrics.radius, center=metrics.all_centers[0] + 1),

@@ -144,21 +144,20 @@ def scan_metrics(M: DistanceMatrix) -> OracleMetrics:
 
     The diameter is the matrix maximum. The peripheral pairs are every
     unordered pair (a, b), a < b, whose larger direction max(M[a, b],
-    M[b, a]) equals it, in ascending order.
+    M[b, a]) equals it, in ascending order. One vertex has the single
+    pair (0, 0), as scan_diameter and both diameter searches report.
     """
     values = M.values
     row_max = values.max(axis=1)
     radius = float(row_max.min())
     centers = np.flatnonzero(row_max == radius).tolist()
-    if M.n == 1:
-        diameter = 0.0
-        pairs: list[tuple[int, int]] = []
-    else:
-        diameter = float(row_max.max())
-        hit = values == diameter
-        hit |= hit.T  # either direction of a pair may hold the maximum
-        ii, jj = np.nonzero(hit)
-        pairs = [(a, b) for a, b in zip(ii.tolist(), jj.tolist()) if a < b]
+    diameter = float(row_max.max())
+    hit = values == diameter
+    hit |= hit.T  # either direction of a pair may hold the maximum
+    ii, jj = np.nonzero(hit)
+    # with n > 1 some off-diagonal entry holds the maximum, so the list is
+    # empty only on one vertex
+    pairs = [(a, b) for a, b in zip(ii.tolist(), jj.tolist()) if a < b] or [(0, 0)]
     return OracleMetrics(
         radius=radius,
         all_centers=centers,

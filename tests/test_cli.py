@@ -403,6 +403,12 @@ class TestOracleCommand:
         assert a != b
         assert f"peripheral pairs: [({a}, {b})]" in out
 
+    def test_single_vertex_pair(self, capsys):
+        assert main(["oracle", "--gen", "complete:1"]) == 0
+        out = capsys.readouterr().out
+        assert "DC1: " in out and "pair=(1, 1)" in out
+        assert "peripheral pairs: [(1, 1)]" in out
+
     def test_disconnected_exits_nonzero(self, tmp_path, capsys):
         p = tmp_path / "two.gr"
         p.write_text(DISCONNECTED_FIXTURE)

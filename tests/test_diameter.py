@@ -242,8 +242,8 @@ class TestZeroDiameter:
         for dr in (diameter_p1(g, find_radius(p1), p1), diameter_p2(M, find_radius(p2), p2)):
             a, b = dr.peripheral_pair
             assert dr.diameter == 0.0 and (a != b) == (g.n > 1)
-            # scan_metrics lists no pair on one vertex; scan_diameter gives (0, 0)
             assert (dr.diameter, dr.peripheral_pair) == scan_diameter(M)
+            assert dr.peripheral_pair == scan_metrics(M).all_peripheral_pairs[0]
 
 
 class TestExactness:

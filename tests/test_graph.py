@@ -1,3 +1,6 @@
+from collections import deque
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,8 @@ from graphmetrics.graph import (
     load_dimacs,
     write_dimacs,
 )
+from graphmetrics.oracle import floyd_warshall
+from graphmetrics.sssp import DisconnectedGraphError, sssp
 
 from conftest import build_graph
 from test_cli import corrupt_dimacs
@@ -445,6 +450,42 @@ class TestCompleteBuild:
                 from_arcs(3, *np.triu_indices(3, 1), np.array(w))
 
 
+@st.composite
+def connectivity_graphs(draw):
+    """n from 1 to 40: a random forest over a random vertex order, so that
+    labels form long chains, plus random arcs. Repeated arcs, self-loops,
+    zero weights and vertices of degree 0 all occur."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    order = rng.permutation(n).tolist()
+    # each vertex but the first joins an earlier one in the order, mostly
+    forest = [(order[i], order[rng.integers(i)], 1.0) for i in range(1, n) if rng.random() < 0.9]
+    ends = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(ends, ends, st.sampled_from([0.0, 1.0, 2.5])), max_size=n))
+    return build_graph(n, forest + arcs)
+
+
+def reaches_all(g):
+    """Plain breadth-first search from vertex 0 over the CSR arrays."""
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in g.indices[g.indptr[u]:g.indptr[u + 1]].tolist():
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == g.n
+
+
+def permuted_paths(n, k, seed):
+    """k vertex-disjoint paths over a random permutation of n vertices."""
+    parts = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    u = np.concatenate([p[:-1] for p in parts])
+    v = np.concatenate([p[1:] for p in parts])
+    return from_arcs(n, u, v, np.ones(u.size))
+
+
 class TestConnectivity:
     def test_path_connected(self, path4):
         assert check_connected(path4)
@@ -454,3 +495,39 @@ class TestConnectivity:
 
     def test_single_vertex(self):
         assert check_connected(build_graph(1, []))
+
+    @settings(max_examples=300, deadline=None)
+    @given(connectivity_graphs())
+    def test_matches_bfs(self, g):
+        assert check_connected(g) == reaches_all(g)
+
+    @pytest.mark.parametrize("g", [
+        permuted_paths(20_000, 1, seed=1),
+        permuted_paths(20_000, 2, seed=2),
+        build_graph(4, [(0, 1, 1.0), (1, 3, 1.0), (3, 0, 1.0)]),  # vertex 2 has no arc
+        build_graph(4, [(1, 2, 1.0), (2, 3, 1.0)]),  # vertex 0 has no arc
+    ], ids=["path", "two-paths", "degree0-inside", "degree0-at-0"])
+    def test_fixed_cases_match_bfs(self, g):
+        assert check_connected(g) == reaches_all(g)
+
+    def test_rounds_stay_few_on_a_long_path(self):
+        # one hook and one shortcut per round would need thousands of rounds
+        with mock.patch.object(graph_module, "_hook_round", wraps=graph_module._hook_round) as spy:
+            assert check_connected(permuted_paths(30_000, 1, seed=3))
+        assert spy.call_count <= 40
+
+    @settings(max_examples=150, deadline=None)
+    @given(connectivity_graphs())
+    def test_agrees_with_the_searches(self, g):
+        """The stand-alone check, sssp from vertex 0 and floyd_warshall see
+        the same graphs as disconnected."""
+        def raises(search):
+            try:
+                search(g)
+            except DisconnectedGraphError:
+                return True
+            return False
+
+        disconnected = not check_connected(g)
+        assert raises(lambda g: sssp(g, 0)) == disconnected
+        assert raises(floyd_warshall) == disconnected

@@ -216,7 +216,7 @@ class TestScans:
     def test_single_vertex(self):
         om = scan_metrics(apsp_repeated_sssp(build_graph(1, [])))
         assert om.radius == om.diameter == 0.0
-        assert om.all_peripheral_pairs == []
+        assert om.all_peripheral_pairs == [(0, 0)]
 
     def test_all_zero_matrix_pair_is_distinct(self):
         M = apsp_repeated_sssp(build_graph(3, [(0, 1, 0.0), (1, 2, 0.0)]))
