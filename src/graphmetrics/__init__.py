@@ -28,7 +28,6 @@ from .sssp import (
     DistanceMatrix,
     DistanceProvider,
     eccentricity,
-    sssp,
 )
 
 __all__ = [
@@ -55,6 +54,5 @@ __all__ = [
     "scan_diameter",
     "scan_metrics",
     "scan_radius",
-    "sssp",
     "write_dimacs",
 ]

@@ -1,7 +1,7 @@
 """Diameter and peripheral-pair search on top of a completed radius search.
 
 Both variants start the lower bound at d(p1, p2) = ecc(p1), where (p1, p2)
-is the far pair the radius search's farthest-vertex walk ended on (the
+is rr.far_pair, the pair the radius search's farthest-vertex walk ended on (the
 double-sweep bound of Magnien, Latapy & Habib, JEA 2009), then scan whole
 rows, one read each, of the vertices the triangle inequality through the
 center cannot rule out. The matrix-backed variant scans every vertex
@@ -44,7 +44,6 @@ class DiameterResult:
     pairs_checked: int
     sssp_count: int
     rows_accessed: int
-    radius_result: RadiusResult
 
 
 def build_candidate_order(center_dist: np.ndarray) -> np.ndarray:
@@ -52,19 +51,8 @@ def build_candidate_order(center_dist: np.ndarray) -> np.ndarray:
     return np.argsort(-center_dist, kind="stable")
 
 
-def _far_pair_bound(
-    rr: RadiusResult, provider: DistanceProvider
-) -> tuple[float, tuple[int, int]]:
-    """d(p1, p2) and (p1, p2) for the far pair that starts rr.pivots
-    (p2 = p1 on one vertex), read through row p1."""
-    p1, *rest = rr.pivots
-    p2 = rest[0] if rest else p1
-    return float(provider.row(p1)[p2]), (p1, p2)
-
-
 def _result(
     provider: DistanceProvider,
-    rr: RadiusResult,
     diameter: float,
     pair: tuple[int, int],
     trace: list[float],
@@ -81,7 +69,6 @@ def _result(
         pairs_checked=pairs_checked,
         sssp_count=provider.sssp_count,
         rows_accessed=provider.rows_accessed,
-        radius_result=rr,
     )
 
 
@@ -93,13 +80,14 @@ def diameter_p2(
     """Matrix-backed diameter search (Problem 2).
 
     The lower bound starts at d(p1, p2) for the radius search's far pair
-    (p1, p2). Only rows of vertices farther than half the current lower
-    bound from the center can contain a distance beating the bound; the
-    half-bound filter is re-evaluated against the updated bound before each
-    row is scanned.
+    (p1, p2) = rr.far_pair. Only rows of vertices farther than half the
+    current lower bound from the center can contain a distance beating the
+    bound; the half-bound filter is re-evaluated against the updated bound
+    before each row is scanned.
     Every row is read through the provider, so its counters include them.
     """
-    d_l, pair = _far_pair_bound(rr, provider)
+    p1, p2 = pair = rr.far_pair
+    d_l = float(provider.row(p1)[p2])
     trace = [d_l]
     center_row = provider.row(rr.center)
     # Superset of survivors under the initial bound; the bound only grows.
@@ -116,7 +104,7 @@ def diameter_p2(
             d_l = v
             pair = (i, j)
             trace.append(d_l)
-    return _result(provider, rr, d_l, pair, trace, vertices_scanned=scanned)
+    return _result(provider, d_l, pair, trace, vertices_scanned=scanned)
 
 
 # An overflowed sum row + ecc is inf, which never beats a finite label and
@@ -128,12 +116,13 @@ def diameter_p1(
     """On-demand diameter search (Problem 1).
 
     The lower bound starts at d(p1, p2) for the radius search's far pair
-    (p1, p2). Vertices are visited in descending distance from the center,
-    as in iFUB (Crescenzi et al., TCS 2013). Each visited vertex's whole row
-    is read once and its maximum raises the bound, which settles every pair
-    that vertex is in. Any two vertices not yet visited are at most
-    sd[i] + sd[i + 1] apart (triangle inequality through the center), so the
-    scan stops at the first position where that sum cannot beat the bound.
+    (p1, p2) = rr.far_pair. Vertices are visited in descending distance
+    from the center, as in iFUB (Crescenzi et al., TCS 2013). Each visited
+    vertex's whole row is read once and its maximum raises the bound, which
+    settles every pair that vertex is in. Any two vertices not yet visited
+    are at most sd[i] + sd[i + 1] apart (triangle inequality through the
+    center), so the scan stops at the first position where that sum cannot
+    beat the bound.
     Every row the provider holds, from the radius search or from this scan,
     bounds each vertex k from above by ub[k] = min over held x of
     d(x, k) + ecc(x) (Takes & Kosters, Algorithms 2013). A vertex whose row
@@ -156,7 +145,8 @@ def diameter_p1(
     for x, row in provider.held_rows().items():
         hold(x, row)
 
-    d_l, pair = _far_pair_bound(rr, provider)
+    p1, p2 = pair = rr.far_pair
+    d_l = float(provider.row(p1)[p2])
     trace = [d_l]
     pairs_checked = scanned = bounded = 0
     for i in range(n - 1):
@@ -179,6 +169,6 @@ def diameter_p1(
             trace.append(d_l)
 
     return _result(
-        provider, rr, d_l, pair, trace, vertices_scanned=scanned,
+        provider, d_l, pair, trace, vertices_scanned=scanned,
         vertices_bounded=bounded, pairs_checked=pairs_checked,
     )

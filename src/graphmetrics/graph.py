@@ -35,7 +35,7 @@ class GraphValidationError(ValueError):
     """Structurally invalid graph data (bad ids, negative weights, ...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class Graph:
     """Immutable weighted undirected graph.
 
@@ -195,8 +195,8 @@ def _load_plain(text: str) -> Graph | None:
     None when the text is not plain and _load_lines must read it.
 
     Plain means: `c` lines, then a `p sp n m` line of ASCII digits with
-    n >= 1, then m `a u v w` lines of plain characters, with ids in [1, n]
-    and finite non-negative weights; blank lines and `c` lines may sit
+    n >= 1, then m `a u v w` lines of plain characters whose ids and
+    weights from_arcs accepts; blank lines and `c` lines may sit
     among the arcs. The line reader accepts every plain text and parses it
     to the same numbers; it also reads every text declined here, which may
     be valid, so this reader never decides that a file is malformed.
@@ -228,14 +228,12 @@ def _load_plain(text: str) -> Graph | None:
         rows = np.loadtxt(body.splitlines(), dtype=_ARC_ROW, comments=None, ndmin=1)
     except ValueError:  # a field count other than 4, a field no number, an id beyond int64
         return None
-    u, v, w = rows["u"], rows["v"], rows["w"]
-    if (
-        rows.size != m or (rows["tag"] != "a").any()
-        or u.min() < 1 or u.max() > n or v.min() < 1 or v.max() > n
-        or not np.isfinite(w).all() or w.min() < 0
-    ):
+    if rows.size != m or (rows["tag"] != "a").any():
         return None
-    return from_arcs(n, u - 1, v - 1, w)
+    try:
+        return from_arcs(n, rows["u"] - 1, rows["v"] - 1, rows["w"])
+    except GraphValidationError:  # an id or a weight: the line reader words the fault
+        return None
 
 
 def _load_lines(lines) -> Graph:

@@ -46,6 +46,7 @@ def far_pair(provider: DistanceProvider) -> tuple[int, int]:
 class RadiusResult:
     radius: float
     center: int
+    far_pair: tuple[int, int]  # where the far-pair walk ended; d(p1, p2) = ecc(p1)
     pivots: list[int]
     candidates_examined: int
     sssp_count: int
@@ -103,6 +104,7 @@ def find_radius(provider: DistanceProvider) -> RadiusResult:
     return RadiusResult(
         radius=r_upper,
         center=center,
+        far_pair=(p1, p2),
         pivots=pivots,
         candidates_examined=examined,
         sssp_count=provider.sssp_count,

@@ -30,7 +30,7 @@ class DisconnectedGraphError(RuntimeError):
         super().__init__(f"vertex {vertex} is unreachable from vertex {source}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class DistanceMatrix:
     """Dense n x n shortest-path distances with a zero diagonal.
 
@@ -48,11 +48,12 @@ class DistanceMatrix:
 
 # Average degree (2m/n) from which sssp runs sssp_vectorized instead of the
 # rounds and heap below. Per SSSP (seed 0, 20 sources, best of 5, 2-core x86
-# machine), rounds vs sssp_vectorized: complete:70 0.12 vs 0.26 ms,
-# sparse:2000:80000 (degree 80) 7.6 vs 9.2, complete:200 0.95 vs 0.86,
-# complete:400 5.2 vs 2.0, complete:1000 51 vs 6.9. So the crossover lies
-# between degree 80 and 200; the cut stays until a benchmark workload runs
-# SSSPs at degree 64 or more (ROADMAP item 2).
+# machine), rounds and heap vs sssp_vectorized: complete:70 0.16 vs 0.77 ms,
+# complete:120 0.40 vs 1.38, complete:200 1.08 vs 2.38, complete:300 2.25 vs
+# 3.77, complete:400 3.22 vs 5.28, complete:600 8.62 vs 5.72, complete:1000
+# 23.7 vs 14.1. So the crossover lies between degree 400 and 600, far above
+# the cut; the cut stays until a benchmark workload runs SSSPs at degree 64
+# or more (ROADMAP items 1 and 2).
 SPARSE_DEGREE_CUT = 64.0
 
 # Below the cut sssp first relaxes every arc at once per round (Delta-stepping,
@@ -219,6 +220,7 @@ class DistanceProvider:
             raise ValueError("provide exactly one of graph or matrix")
         self._graph = graph
         self._matrix = matrix
+        self.n = graph.n if graph is not None else matrix.n
         self._cache: dict[int, np.ndarray] = {}
         self.sssp_count = 0
         self.rows_accessed = 0
@@ -230,10 +232,6 @@ class DistanceProvider:
     @classmethod
     def from_matrix(cls, matrix: DistanceMatrix) -> "DistanceProvider":
         return cls(matrix=matrix)
-
-    @property
-    def n(self) -> int:
-        return self._graph.n if self._graph is not None else self._matrix.n
 
     def held_rows(self) -> MappingProxyType:
         """A live read-only view {source: row} of the rows the provider holds.
@@ -247,6 +245,8 @@ class DistanceProvider:
         cached = self._cache.get(source)
         if cached is not None:
             return cached
+        if not 0 <= source < self.n:
+            raise ValueError(f"source {source} out of range")
         if self._matrix is not None:
             row = self._matrix.values[source]
         else:

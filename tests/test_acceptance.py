@@ -259,7 +259,7 @@ def test_criterion_6_pruning_soundness():
         provider = DistanceProvider.from_matrix(matrix)
         rr = find_radius(provider)
         c = rr.center
-        d_l = M[rr.pivots[0], rr.pivots[1]]
+        d_l = M[rr.far_pair]
         diameter = float(M.max())
 
         # Half-bound row filter: if both endpoints sit within d/2 of the

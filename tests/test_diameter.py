@@ -140,7 +140,7 @@ def ifub_scan(g):
     center_row = provider.row(rr.center)
     ids = build_candidate_order(center_row)
     sd = center_row[ids]
-    p1, p2 = rr.pivots[:2]
+    p1, p2 = rr.far_pair
     d_l, pair = float(provider.row(p1)[p2]), (p1, p2)
     trace = [d_l]
     for i in range(g.n - 1):
@@ -264,8 +264,8 @@ class TestExactness:
         assert dr1.diameter == oracle.diameter == dr2.diameter
         assert M.values[dr1.peripheral_pair] == oracle.diameter
         assert M.values[dr2.peripheral_pair] == oracle.diameter
-        assert dr1.diameter >= dr1.radius_result.radius
-        assert dr1.diameter <= 2.0 * dr1.radius_result.radius
+        assert dr1.diameter >= rr1.radius
+        assert dr1.diameter <= 2.0 * rr1.radius
 
     @pytest.mark.parametrize("g", list(seeded_cases(10, master_seed=99)), ids=lambda g: f"n{g.n}m{g.m}")
     def test_lower_bound_trace(self, g):
@@ -275,7 +275,7 @@ class TestExactness:
         rr1, rr2 = find_radius(p1), find_radius(p2)
         for rr, dr in ((rr1, diameter_p1(g, rr1, p1)), (rr2, diameter_p2(M, rr2, provider=p2))):
             # the start is a real distance: the radius search's far pair
-            assert dr.d_lower_trace[0] == M.values[rr.pivots[0], rr.pivots[1]]
+            assert dr.d_lower_trace[0] == M.values[rr.far_pair]
             assert dr.d_lower_trace == sorted(dr.d_lower_trace)
             assert all(v <= oracle.diameter for v in dr.d_lower_trace)
             assert dr.d_lower_trace[-1] == oracle.diameter

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphmetrics import graph as graph_module
@@ -227,13 +227,33 @@ def dimacs_files(draw):
     return "".join(text + draw(LINE_END) for text in lines).encode()
 
 
+# Plain files that only from_arcs refuses: an id of 0, and weights whose
+# path sum (2 edges of 1e308) overflows.
+ARC_RULE_FILES = ["p sp 3 2\na 0 2 1\na 2 3 1\n", "p sp 3 2\na 1 2 1e308\na 2 3 1e308\n"]
+
+
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=400, deadline=None)
 @given(data=st.one_of(dimacs_files(), corrupt_dimacs().map(lambda case: case[0])))
+@example(data=ARC_RULE_FILES[0].encode())
+@example(data=ARC_RULE_FILES[1].encode())
 def test_bulk_reader_agrees_with_line_reader(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("agree") / "g.gr"
     path.write_bytes(data)
     assert outcome(load_dimacs, path) == outcome(read_lines, path)
+
+
+@pytest.mark.parametrize("text", ARC_RULE_FILES, ids=["id-0", "path-sum"])
+def test_bulk_reader_leaves_arc_rules_to_from_arcs(text, monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return from_arcs(*args)
+
+    monkeypatch.setattr(graph_module, "from_arcs", spy)
+    assert graph_module._load_plain(text) is None
+    assert len(calls) == 1
 
 
 def test_plain_files_take_the_bulk_path(tmp_path, monkeypatch):
@@ -331,6 +351,13 @@ class TestFromArcs:
     def test_csr_arrays_are_read_only(self, path4, name):
         with pytest.raises(ValueError, match="read-only"):
             getattr(path4, name)[:] = 0
+
+    def test_graphs_and_matrices_compare_by_identity(self, path4):
+        rebuilt = build_graph(4, edge_list(path4))
+        assert path4 == path4
+        assert path4 != rebuilt
+        M = floyd_warshall(path4)
+        assert len({path4, rebuilt, M, M}) == 3
 
 
 class TestGenerate:

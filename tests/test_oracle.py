@@ -1,4 +1,3 @@
-import importlib
 from unittest import mock
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphmetrics.sssp as sssp_module
 from graphmetrics import oracle
 from graphmetrics.graph import GraphSpec, from_arcs, generate
 from graphmetrics.oracle import (
@@ -46,8 +46,8 @@ class TestBuildMatrix:
         def refuse(g, source):
             raise AssertionError("sssp_vectorized ran on a sparse graph")
 
-        for module in ("graphmetrics.sssp", "graphmetrics.oracle"):
-            monkeypatch.setattr(importlib.import_module(module), "sssp_vectorized", refuse)
+        for module in (sssp_module, oracle):
+            monkeypatch.setattr(module, "sssp_vectorized", refuse)
         assert build_matrix(g).values.tobytes() == expected
 
     def test_dense_dijkstra_build_equals_reference(self):

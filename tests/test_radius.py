@@ -121,36 +121,37 @@ class TestFindRadius:
         assert rr.sssp_count <= path4.n
 
 
-# Full results of find_radius: (graph, radius, center, pivots,
+# Full results of find_radius: (graph, radius, center, far_pair, pivots,
 # candidates_examined, SSSPs on demand, rows_accessed, bound_trace). Both
 # modes read the same rows; over a matrix no SSSP runs.
 PINNED = [
-    (build_graph(1, []), 0.0, 0, [0], 1, 1, 3, [(0.0, 0.0)]),
-    (build_graph(2, [(0, 1, 7.0)]), 7.0, 0, [1, 0], 1, 2, 5, [(7.0, 7.0)]),
+    (build_graph(1, []), 0.0, 0, (0, 0), [0], 1, 1, 3, [(0.0, 0.0)]),
+    (build_graph(2, [(0, 1, 7.0)]), 7.0, 0, (1, 0), [1, 0], 1, 2, 5, [(7.0, 7.0)]),
     (generate(GraphSpec(kind="complete", n=6, weight_range=(0.0, 0.0), integer_weights=True)),
-     0.0, 0, [0, 1], 1, 2, 4, [(0.0, 0.0)]),
+     0.0, 0, (0, 1), [0, 1], 1, 2, 4, [(0.0, 0.0)]),
     (generate(GraphSpec(kind="complete", n=12, seed=3)),
-     42.857290429846195, 11, [8, 4, 6], 2, 6, 8,
+     42.857290429846195, 11, (8, 4), [8, 4, 6], 2, 6, 8,
      [(30.375694222095316, 50.65316551844123), (42.857290429846195, 42.857290429846195)]),
     (generate(GraphSpec(kind="complete", n=8, seed=69)),
-     52.549648746070396, 5, [6, 0, 4], 2, 5, 7,
+     52.549648746070396, 5, (6, 0), [6, 0, 4], 2, 5, 7,
      [(47.658484007382285, 52.549648746070396), (52.549648746070396, 52.549648746070396)]),
     (generate(GraphSpec(kind="sparse", n=60, seed=5, target_edges=150,
                         weight_range=(1.0, 100.0), integer_weights=True)),
-     112.0, 2, [27, 54, 51, 38], 3, 8, 10, [(107.0, 123.0), (107.0, 113.0), (112.0, 112.0)]),
+     112.0, 2, (27, 54), [27, 54, 51, 38], 3, 8, 10,
+     [(107.0, 123.0), (107.0, 113.0), (112.0, 112.0)]),
 ]
 
 
 @pytest.mark.parametrize("case", PINNED, ids=["n1", "n2", "zero", "complete12", "complete8", "sparse60"])
 @pytest.mark.parametrize("mode", ["p1", "p2"])
 def test_pinned_results(case, mode):
-    g, radius, center, pivots, examined, sssp_count, rows, trace = case
+    g, radius, center, far, pivots, examined, sssp_count, rows, trace = case
     if mode == "p1":
         provider = DistanceProvider.on_demand(g)
     else:
         provider, sssp_count = DistanceProvider.from_matrix(apsp_repeated_sssp(g)), 0
     assert find_radius(provider) == RadiusResult(
-        radius=radius, center=center, pivots=pivots, candidates_examined=examined,
+        radius=radius, center=center, far_pair=far, pivots=pivots, candidates_examined=examined,
         sssp_count=sssp_count, rows_accessed=rows, bound_trace=trace,
     )
 

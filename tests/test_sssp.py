@@ -1,4 +1,4 @@
-import importlib
+import sys
 from contextlib import contextmanager
 from heapq import heapify
 from types import SimpleNamespace
@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphmetrics
+import graphmetrics.sssp as sssp_module
 from graphmetrics.cli import parse_gen_spec
 from graphmetrics.graph import GraphSpec, generate
 from graphmetrics.oracle import apsp_repeated_sssp, floyd_warshall
@@ -21,9 +23,6 @@ from graphmetrics.sssp import (
 )
 
 from conftest import build_graph
-
-# the package's `sssp` attribute is the function, not this module
-sssp_module = importlib.import_module("graphmetrics.sssp")
 
 
 class TestSssp:
@@ -294,6 +293,25 @@ class TestDistanceProvider:
     def test_requires_exactly_one_backing(self, path4):
         with pytest.raises(ValueError):
             DistanceProvider(graph=None, matrix=None)
+
+    @pytest.mark.parametrize("mode", ["on_demand", "matrix"])
+    def test_source_out_of_range(self, path4, mode):
+        if mode == "on_demand":
+            p = DistanceProvider.on_demand(path4)
+        else:
+            p = DistanceProvider.from_matrix(apsp_repeated_sssp(path4))
+        for source in (-1, path4.n):
+            with pytest.raises(ValueError, match=f"source {source} out of range"):
+                p.row(source)
+        assert dict(p.held_rows()) == {}
+        assert p.sssp_count == 0
+
+
+def test_public_names():
+    assert graphmetrics.sssp is sys.modules["graphmetrics.sssp"]  # the module, not the function
+    assert graphmetrics.sssp.sssp is sssp
+    for name in graphmetrics.__all__:
+        assert hasattr(graphmetrics, name), name
 
 
 def test_triangle_inequality_on_oracle_matrix():
