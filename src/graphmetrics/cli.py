@@ -104,14 +104,18 @@ def _load(source: str, value: str) -> tuple[Graph, str, int | None]:
     return generate(spec), value, spec.seed
 
 
-def _unreachable(exc: DisconnectedGraphError) -> str:
-    """The error's two vertices in DIMACS ids, as every report gives them."""
-    return f"vertex {exc.vertex + 1} is unreachable from vertex {exc.source + 1}"
+# Every fault reported as one line (exit 2, or bench's errors column)
+# instead of a traceback.
+_FAULTS = (DisconnectedGraphError, DimacsParseError, GraphValidationError, MemoryError, OSError)
 
 
-def _message(exc: Exception) -> str:
-    """The error's text. A MemoryError often carries none (a failed
-    allocation inside numpy or the interpreter), so it gets one."""
+def _fault(exc: Exception) -> str:
+    """The fault's text. A disconnected graph names its two vertices in
+    DIMACS ids, as every report gives them. A MemoryError often carries no
+    text (a failed allocation inside numpy or the interpreter), so it gets
+    one."""
+    if isinstance(exc, DisconnectedGraphError):
+        return f"vertex {exc.vertex + 1} is unreachable from vertex {exc.source + 1}"
     if isinstance(exc, MemoryError) and not str(exc):
         return "out of memory"
     return str(exc)
@@ -245,10 +249,8 @@ def run_bench(inputs: list[tuple[str, str]], repeats: int, mode: str) -> list[Be
         try:
             g, _, _ = _load(source, value)
             rows.extend(_bench_input(g, name, repeats, mode))
-        except DisconnectedGraphError as exc:
-            rows.append(BenchRow(name=name, errors=_unreachable(exc)))
-        except (DimacsParseError, GraphValidationError, MemoryError, OSError) as exc:
-            rows.append(BenchRow(name=name, errors=_message(exc)))
+        except _FAULTS as exc:
+            rows.append(BenchRow(name=name, errors=_fault(exc)))
     return rows
 
 
@@ -348,11 +350,9 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 write_bench_csv(rows, sys.stdout)
             return 0
-    except DisconnectedGraphError as exc:
-        print(f"error: graph is disconnected; {_unreachable(exc)}", file=sys.stderr)
-        return 2
-    except (DimacsParseError, GraphValidationError, MemoryError, OSError) as exc:
-        print(f"error: {_message(exc)}", file=sys.stderr)
+    except _FAULTS as exc:
+        lead = "graph is disconnected; " if isinstance(exc, DisconnectedGraphError) else ""
+        print(f"error: {lead}{_fault(exc)}", file=sys.stderr)
         return 2
     return 0
 

@@ -1,15 +1,17 @@
 """Weighted undirected graph container, DIMACS .gr I/O and seeded generators.
 
-Graphs are stored in CSR form (indptr/indices/weights) with 0-based vertex
-ids: DIMACS vertex u + 1 is vertex u here, and the CLI reports vertex u as
-u + 1. from_arcs builds every graph given as an arc list (DIMACS files, the
-sparse generator); the complete generator writes its graph straight into
-CSR form, with no arc list and no sort, and gives the same bytes. Both apply
-one set of weight rules. Whether a graph is connected is found by the first
-shortest-path run from vertex 0; check_connected answers the same question
-without a search, by label hooking: a few numpy rounds over the whole CSR
-in which every vertex takes the smallest label near it, until every label
-is 0 or a round changes nothing.
+A Graph is its three CSR arrays (indptr/indices/weights), with 0-based
+vertex ids: DIMACS vertex u + 1 is vertex u here, and the CLI reports vertex
+u as u + 1. Its n and m follow from the arrays, and building a Graph makes
+the arrays read-only. from_arcs builds every graph given as an arc list
+(DIMACS files, the sparse generator); the complete generator writes its
+graph straight into CSR form, with no arc list and no sort, and gives the
+same bytes. Both apply one set of weight rules. Whether a graph is
+connected is found by the first shortest-path run from vertex 0;
+check_connected answers the same question without a search, by label
+hooking: a few numpy rounds over the whole CSR in which every vertex takes
+the smallest label near it, until every label is 0 or a round changes
+nothing.
 
 load_dimacs has two readers. A plain file (comments, header, then arc lines
 of plain ASCII numbers) is parsed in bulk by numpy's C text reader; any file
@@ -37,19 +39,35 @@ class GraphValidationError(ValueError):
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class Graph:
-    """Immutable weighted undirected graph.
+    """Immutable weighted undirected graph: its three CSR arrays.
+
+    Vertex u's neighbours are indices[indptr[u]:indptr[u + 1]], and weights
+    holds their edge weights at the same positions. n and m follow from the
+    arrays. Building a Graph makes the three arrays read-only: every search
+    on the graph shares them.
 
     Adjacency is symmetric by construction: every undirected edge is stored
     as two directed arcs with identical weight. Parallel edges are collapsed
     to the minimum weight and self-loops are dropped (neither can shorten a
-    shortest path). The CSR arrays are read-only.
+    shortest path).
     """
 
-    n: int
-    m: int  # undirected edge count
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.indptr, self.indices, self.weights):
+            a.flags.writeable = False
+
+    @cached_property
+    def n(self) -> int:
+        return self.indptr.size - 1
+
+    @cached_property
+    def m(self) -> int:
+        """Undirected edge count."""
+        return self.indices.size // 2
 
     def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor ids and edge weights of vertex u, as array views."""
@@ -76,6 +94,10 @@ def from_arcs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
     """
     if n < 1:
         raise GraphValidationError("graph needs at least one vertex")
+    if n * n >= 2**63:  # the arc key below; checked before anything is allocated
+        raise GraphValidationError(
+            f"graph refused: n={n} is too large (n * n must be below 2**63)"
+        )
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if u.size and (u.min() < 0 or u.max() >= n or v.min() < 0 or v.max() >= n):
@@ -87,7 +109,8 @@ def from_arcs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
 
     # One int64 key per arc, both directions, orders the arcs by (u, v), the
     # CSR order, with a single sort instead of a sort per field. It needs
-    # n * n < 2**63, i.e. n < 3.0e9; an indptr that long would take 24 GB.
+    # n * n < 2**63, i.e. n < 3.04e9, checked above; an indptr that long
+    # would take 24 GB.
     key = np.concatenate([u * n + v, v * n + u])
     order = np.argsort(key, kind="stable")
     key, weights = key[order], np.concatenate([w, w])[order]
@@ -103,7 +126,7 @@ def from_arcs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
 
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return _frozen(n, key.size // 2, indptr, indices, weights)
+    return Graph(indptr, indices, weights)
 
 
 def _complete(n: int, w: np.ndarray) -> Graph:
@@ -128,7 +151,7 @@ def _complete(n: int, w: np.ndarray) -> Graph:
         return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].reshape(-1)
 
     indptr = np.arange(n + 1) * (n - 1)
-    return _frozen(n, w.size, indptr, off_diagonal(cols), off_diagonal(W))
+    return Graph(indptr, off_diagonal(cols), off_diagonal(W))
 
 
 def _edge_weights(n: int, w) -> np.ndarray:
@@ -147,13 +170,6 @@ def _edge_weights(n: int, w) -> np.ndarray:
                 f"edge weight {w_max} too large: a path of {n - 1} edges could overflow"
             )
     return w + 0.0  # + 0.0 turns -0.0 into +0.0
-
-
-def _frozen(n: int, m: int, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray) -> Graph:
-    """The Graph of these CSR arrays, made read-only."""
-    for a in (indptr, indices, weights):
-        a.flags.writeable = False  # shared by every search on the graph
-    return Graph(n=n, m=m, indptr=indptr, indices=indices, weights=weights)
 
 
 def load_dimacs(path) -> Graph:
@@ -194,12 +210,12 @@ def _load_plain(text: str) -> Graph | None:
     """The graph of a plain DIMACS text, parsed by one np.loadtxt call, or
     None when the text is not plain and _load_lines must read it.
 
-    Plain means: `c` lines, then a `p sp n m` line of ASCII digits with
-    n >= 1, then m `a u v w` lines of plain characters whose ids and
-    weights from_arcs accepts; blank lines and `c` lines may sit
-    among the arcs. The line reader accepts every plain text and parses it
-    to the same numbers; it also reads every text declined here, which may
-    be valid, so this reader never decides that a file is malformed.
+    Plain means: `c` lines, then a `p sp n m` line of ASCII digits, then m
+    `a u v w` lines of plain characters whose n, ids and weights from_arcs
+    accepts; blank lines and `c` lines may sit among the arcs. The line
+    reader accepts every plain text and parses it to the same numbers; it
+    also reads every text declined here, which may be valid, so this reader
+    never decides that a file is malformed.
     """
     start = 0
     while text.startswith("c", start):
@@ -219,7 +235,7 @@ def _load_plain(text: str) -> Graph | None:
     if "\nc" in body:
         body = _COMMENT_LINE.sub("", body)
     # With no arc line loadtxt warns that the input holds no data.
-    if n < 1 or "a" not in body or not body.isascii():
+    if "a" not in body or not body.isascii():
         return None
     if body.encode("ascii").translate(None, _PLAIN_BYTES):
         return None
@@ -232,7 +248,7 @@ def _load_plain(text: str) -> Graph | None:
         return None
     try:
         return from_arcs(n, rows["u"] - 1, rows["v"] - 1, rows["w"])
-    except GraphValidationError:  # an id or a weight: the line reader words the fault
+    except GraphValidationError:  # n, an id or a weight: the line reader words the fault
         return None
 
 
@@ -350,6 +366,12 @@ class GraphSpec:
             raise GraphValidationError(f"unknown generator kind {self.kind!r}")
         if self.n < 1:
             raise GraphValidationError("n must be positive")
+        # A sparse build ends in from_arcs, which needs n * n < 2**63; a
+        # complete one holds n x n float64 arrays, whose bytes must fit too.
+        if self.n * self.n * (8 if self.kind == "complete" else 1) >= 2**63:
+            raise GraphValidationError(
+                f"graph refused: n={self.n} is too large for a {self.kind} graph"
+            )
         if self.seed < 0:
             raise GraphValidationError(f"seed must be non-negative, got {self.seed}")
         if self.integer_weights not in (0, 1):

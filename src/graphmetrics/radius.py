@@ -15,7 +15,11 @@ import numpy as np
 
 from .sssp import DistanceProvider, eccentricity
 
-FAR_PAIR_CAP = 64  # ties can make the far-pair walk cycle; any pair is sound
+# With rows symmetric bit for bit the far-pair walk never revisits a vertex
+# (see far_pair), so the cap only bounds its SSSPs above 64 vertices, and
+# guards float rows, whose two directions can differ by an ulp. Any pair is
+# sound.
+FAR_PAIR_CAP = 64
 
 
 def far_pair(provider: DistanceProvider) -> tuple[int, int]:
@@ -23,8 +27,21 @@ def far_pair(provider: DistanceProvider) -> tuple[int, int]:
 
     Start at vertex 0 and repeatedly jump to the farthest vertex (smallest
     id on ties) until the walk revisits the vertex two steps back, or the
-    step cap is hit. Every returned vertex has its row already cached, but
-    for vertex 1 in the pair (0, 1) returned when every distance is 0.
+    step cap is hit.
+
+    Where d(u, v) = d(v, u) exactly (integer weights whose path sums stay
+    below 2**53), no row is read twice. Write v[i] for the walk's i-th
+    vertex, so ecc(v[i]) = d(v[i], v[i+1]). ecc never falls along the walk:
+    ecc(v[i+1]) >= d(v[i+1], v[i]) = ecc(v[i]). So a revisit needs a stretch
+    of equal ecc. There v[i] is a farthest vertex from v[i+1], so the
+    smallest-id rule gives v[i+2] <= v[i], and v[i+2] < v[i] at every step
+    that does not end the walk; going round a loop would give v[i] < v[i].
+    So for n <= FAR_PAIR_CAP the walk, which reads a new row at each step,
+    always ends by the two-step rule.
+
+    Both returned vertices have their rows held, but for n = 1 (no row is
+    read), for vertex 1 of the pair (0, 1) returned when every distance is
+    0, and for p2 when the cap stops the walk: its row is never read.
     """
     n = provider.n
     if n == 1:

@@ -510,6 +510,53 @@ class TestBenchCommand:
         assert "--repeats" in capsys.readouterr().err
 
 
+# Sizes no build can shape, each refused before numpy allocates anything:
+# files whose n fails from_arcs' rule n * n < 2**63, and generator specs that
+# fail GraphSpec's rule for their kind.
+OVERSIZED_FILES = ["p sp 100000000000000000000 0\n", "p sp 2000000000000000000 0\n"]
+OVERSIZED_SPECS = [
+    "sparse:2000000000000000000", "sparse:100000000000000000000",
+    "complete:100000000000", "complete:3037000500",
+]
+
+
+class TestOversizedInput:
+    """An n too large to build exits 2 with one line naming it, not with a
+    numpy traceback, and bench answers the inputs after it."""
+
+    @pytest.mark.parametrize("text", OVERSIZED_FILES)
+    @pytest.mark.parametrize("command", ["metrics", "oracle"])
+    def test_file_is_refused(self, tmp_path, capsys, command, text):
+        p = tmp_path / "big.gr"
+        p.write_text(text)
+        assert main([command, "--input", str(p)]) == 2
+        n = text.split()[2]
+        assert capsys.readouterr() == (
+            "", f"error: graph refused: n={n} is too large (n * n must be below 2**63)\n"
+        )
+
+    @pytest.mark.parametrize("spec", OVERSIZED_SPECS)
+    @pytest.mark.parametrize("command", ["metrics", "oracle", "gen"])
+    def test_spec_is_refused(self, tmp_path, capsys, command, spec):
+        output = tmp_path / "x.gr"
+        argv = [command, "--gen", spec] + (["--output", str(output)] if command == "gen" else [])
+        assert main(argv) == 2
+        kind, n = spec.split(":")
+        assert capsys.readouterr() == (
+            "", f"error: graph refused: n={n} is too large for a {kind} graph\n"
+        )
+        assert not output.exists()
+
+    def test_bench_answers_the_next_input(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--gen", "complete:3037000500", "--gen", "complete:5",
+                     "--csv", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["errors"] == "graph refused: n=3037000500 is too large for a complete graph"
+        assert [r["algo"] for r in rows[1:]] == ["RC1", "R1", "DC1", "D1"]
+
+
 class TestDisconnected:
     """Each command reports a disconnected graph the same way, whichever SSSP
     or matrix build meets it first: the smallest internal id vertex 0 cannot

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import deque
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from graphmetrics import graph as graph_module
 from graphmetrics.graph import (
     DimacsParseError,
+    Graph,
     GraphSpec,
     GraphValidationError,
     check_connected,
@@ -227,9 +229,15 @@ def dimacs_files(draw):
     return "".join(text + draw(LINE_END) for text in lines).encode()
 
 
-# Plain files that only from_arcs refuses: an id of 0, and weights whose
-# path sum (2 edges of 1e308) overflows.
-ARC_RULE_FILES = ["p sp 3 2\na 0 2 1\na 2 3 1\n", "p sp 3 2\na 1 2 1e308\na 2 3 1e308\n"]
+# Plain files that only from_arcs refuses: an id of 0, weights whose path
+# sum (2 edges of 1e308) overflows, no vertex, and an n whose arc key
+# u * n + v cannot be an int64.
+ARC_RULE_FILES = [
+    "p sp 3 2\na 0 2 1\na 2 3 1\n",
+    "p sp 3 2\na 1 2 1e308\na 2 3 1e308\n",
+    "p sp 0 1\na 1 1 1\n",
+    "p sp 100000000000000000000 1\na 1 2 1\n",
+]
 
 
 @pytest.mark.filterwarnings("error")
@@ -237,13 +245,15 @@ ARC_RULE_FILES = ["p sp 3 2\na 0 2 1\na 2 3 1\n", "p sp 3 2\na 1 2 1e308\na 2 3 
 @given(data=st.one_of(dimacs_files(), corrupt_dimacs().map(lambda case: case[0])))
 @example(data=ARC_RULE_FILES[0].encode())
 @example(data=ARC_RULE_FILES[1].encode())
+@example(data=ARC_RULE_FILES[2].encode())
+@example(data=ARC_RULE_FILES[3].encode())
 def test_bulk_reader_agrees_with_line_reader(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("agree") / "g.gr"
     path.write_bytes(data)
     assert outcome(load_dimacs, path) == outcome(read_lines, path)
 
 
-@pytest.mark.parametrize("text", ARC_RULE_FILES, ids=["id-0", "path-sum"])
+@pytest.mark.parametrize("text", ARC_RULE_FILES, ids=["id-0", "path-sum", "n-0", "n-too-large"])
 def test_bulk_reader_leaves_arc_rules_to_from_arcs(text, monkeypatch):
     calls = []
 
@@ -342,6 +352,18 @@ class TestFromArcs:
         # n - 1 edges of the largest weight still sum to a finite distance
         assert build_graph(3, [(0, 1, 8e307), (1, 2, 8e307)]).m == 2
 
+    # Sizes whose arc key u * n + v overflows int64; each is refused before
+    # any array is allocated (an indptr of n + 1 entries would not fit).
+    @pytest.mark.parametrize("n, arcs", [
+        (3_037_000_500, []),
+        (4_000_000_000, [(3_999_999_999, 3_999_999_998)]),
+        (2 * 10**18, []),
+        (10**20, []),
+    ])
+    def test_n_whose_arc_key_overflows_rejected(self, n, arcs):
+        with pytest.raises(GraphValidationError, match=f"^graph refused: n={n} is too large"):
+            build_graph(n, [(u, v, 1.0) for u, v in arcs])
+
     def test_every_vertex_has_arc(self, path4):
         assert path4.every_vertex_has_arc
         assert not build_graph(3, [(0, 1, 1.0)]).every_vertex_has_arc
@@ -351,6 +373,19 @@ class TestFromArcs:
     def test_csr_arrays_are_read_only(self, path4, name):
         with pytest.raises(ValueError, match="read-only"):
             getattr(path4, name)[:] = 0
+
+    def test_graph_is_its_three_arrays(self):
+        indptr = np.array([0, 1, 3, 4])
+        indices = np.array([1, 0, 2, 1])
+        weights = np.array([2.0, 2.0, 5.0, 5.0])
+        assert all(a.flags.writeable for a in (indptr, indices, weights))
+        g = Graph(indptr, indices, weights)
+        assert [f.name for f in dataclasses.fields(Graph)] == ["indptr", "indices", "weights"]
+        assert (g.n, g.m) == (indptr.size - 1, indices.size // 2) == (3, 2)
+        for a in (indptr, indices, weights):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
     def test_graphs_and_matrices_compare_by_identity(self, path4):
         rebuilt = build_graph(4, edge_list(path4))
@@ -381,6 +416,16 @@ class TestGenerate:
         g = generate(GraphSpec(kind="sparse", n=100, seed=7, target_edges=150))
         assert check_connected(g)
         assert 99 <= g.m <= 150
+
+    # The first n each build cannot shape: a sparse build needs n * n < 2**63
+    # for from_arcs' arc key, a complete one 8 * n * n < 2**63 bytes for its
+    # n x n arrays. Specs only: nothing is generated.
+    @pytest.mark.parametrize("kind, largest", [("sparse", 3_037_000_499), ("complete", 2**30 - 1)])
+    def test_n_whose_build_cannot_be_shaped_rejected(self, kind, largest):
+        assert GraphSpec(kind=kind, n=largest).n == largest
+        for n in (largest + 1, 10**20):
+            with pytest.raises(GraphValidationError, match=f"^graph refused: n={n} is too large"):
+                GraphSpec(kind=kind, n=n)
 
     def test_invalid_specs(self):
         with pytest.raises(GraphValidationError):

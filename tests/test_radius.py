@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmetrics.graph import GraphSpec, generate
 from graphmetrics.oracle import apsp_repeated_sssp, scan_metrics
@@ -26,7 +28,34 @@ def seeded_cases(count, lo=5, hi=120, master_seed=77):
         )
 
 
+@st.composite
+def exact_graphs(draw):
+    """Connected graphs of 1 to 64 vertices, a random spanning tree plus
+    random edges, with integer weights 0-3: ties, zero weights and exact
+    path sums, so every row is symmetric bit for bit."""
+    n = draw(st.integers(1, 64))
+    edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    ids = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(ids, ids), max_size=2 * n))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(edges), max_size=len(edges)))
+    return build_graph(n, [(u, v, float(w)) for (u, v), w in zip(edges, weights)])
+
+
 class TestFarPair:
+    @settings(max_examples=300, deadline=None)
+    @given(exact_graphs())
+    def test_exact_walk_reads_each_row_once(self, g):
+        # On exact rows the walk never revisits a vertex, so up to
+        # FAR_PAIR_CAP vertices it ends by the two-step rule, on a pair
+        # whose rows it has read.
+        provider = DistanceProvider.on_demand(g)
+        p1, p2 = far_pair(provider)
+        assert provider.rows_accessed == provider.sssp_count
+        held = provider.held_rows()
+        if g.n == 1 or ((p1, p2) == (0, 1) and not held[0].any()):  # every distance is 0
+            return
+        assert p1 in held and p2 in held
+
     def test_path_walk(self, path4):
         # walk 0 -> 3 -> 0 revisits, so the pair is (3, 0)
         assert far_pair(DistanceProvider.on_demand(path4)) == (3, 0)
