@@ -3,7 +3,7 @@ undirected graphs using pivot-based bound tightening, with brute-force
 oracles and a benchmark harness.
 """
 
-from .diameter import DiameterResult, diameter_p1, diameter_p2
+from .diameter import DiameterResult, find_diameter
 from .graph import (
     DimacsParseError,
     Graph,
@@ -43,10 +43,9 @@ __all__ = [
     "RadiusResult",
     "apsp_repeated_sssp",
     "check_connected",
-    "diameter_p1",
-    "diameter_p2",
     "eccentricity",
     "far_pair",
+    "find_diameter",
     "find_radius",
     "floyd_warshall",
     "generate",

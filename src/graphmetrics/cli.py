@@ -12,7 +12,7 @@ import os
 import sys
 import time
 
-from .diameter import diameter_p1, diameter_p2
+from .diameter import find_diameter
 from .graph import (
     DimacsParseError,
     Graph,
@@ -135,14 +135,12 @@ def _search(g: Graph, matrix: DistanceMatrix | None, target: str = "both"):
     """R, then D unless target is "radius", on one fresh provider: over the
     matrix when there is one (p2), else on demand (p1). Returns each result
     with its seconds, D's result None when D did not run."""
-    if matrix is None:
-        provider, diameter, backing = DistanceProvider.on_demand(g), diameter_p1, g
-    else:
-        provider, diameter, backing = DistanceProvider.from_matrix(matrix), diameter_p2, matrix
+    provider = (DistanceProvider.on_demand(g) if matrix is None
+                else DistanceProvider.from_matrix(matrix))
     rr, radius_s = _timed(find_radius, provider)
     if target == "radius":
         return rr, radius_s, None, 0.0
-    dr, diameter_s = _timed(diameter, backing, rr, provider)
+    dr, diameter_s = _timed(find_diameter, rr, provider)
     return rr, radius_s, dr, diameter_s
 
 

@@ -22,6 +22,10 @@ sum exactly, and the two agree. For the same reason the held-row bound is
 exact with integer weights; with float weights it can, like the center-sum
 stop, pass over a pair that beats the lower bound only by summation-order
 ulps.
+
+find_diameter runs the variant the provider's backing picks. Neither reads
+its first argument: it stays so that the benchmark worker's calls keep
+working, until ROADMAP item 5 drops it.
 """
 from __future__ import annotations
 
@@ -51,25 +55,11 @@ def build_candidate_order(center_dist: np.ndarray) -> np.ndarray:
     return np.argsort(-center_dist, kind="stable")
 
 
-def _result(
-    provider: DistanceProvider,
-    diameter: float,
-    pair: tuple[int, int],
-    trace: list[float],
-    vertices_scanned: int = 0,
-    vertices_bounded: int = 0,
-    pairs_checked: int = 0,
-) -> DiameterResult:
-    return DiameterResult(
-        diameter=diameter,
-        peripheral_pair=pair,
-        d_lower_trace=trace,
-        vertices_scanned=vertices_scanned,
-        vertices_bounded=vertices_bounded,
-        pairs_checked=pairs_checked,
-        sssp_count=provider.sssp_count,
-        rows_accessed=provider.rows_accessed,
-    )
+def find_diameter(rr: RadiusResult, provider: DistanceProvider) -> DiameterResult:
+    """D after rr, on rr's provider: D2 if it is matrix-backed, else D1."""
+    if provider.matrix is not None:
+        return diameter_p2(provider.matrix, rr, provider)
+    return diameter_p1(provider.graph, rr, provider)
 
 
 def diameter_p2(
@@ -83,8 +73,8 @@ def diameter_p2(
     (p1, p2) = rr.far_pair. Only rows of vertices farther than half the
     current lower bound from the center can contain a distance beating the
     bound; the half-bound filter is re-evaluated against the updated bound
-    before each row is scanned.
-    Every row is read through the provider, so its counters include them.
+    before each row is scanned. Every row is read through the provider, so
+    its counters include them. matrix is not read.
     """
     p1, p2 = pair = rr.far_pair
     d_l = float(provider.row(p1)[p2])
@@ -104,7 +94,11 @@ def diameter_p2(
             d_l = v
             pair = (i, j)
             trace.append(d_l)
-    return _result(provider, d_l, pair, trace, vertices_scanned=scanned)
+    return DiameterResult(
+        diameter=d_l, peripheral_pair=pair, d_lower_trace=trace,
+        vertices_scanned=scanned, vertices_bounded=0, pairs_checked=0,
+        sssp_count=provider.sssp_count, rows_accessed=provider.rows_accessed,
+    )
 
 
 # An overflowed sum row + ecc is inf, which never beats a finite label and
@@ -127,9 +121,9 @@ def diameter_p1(
     bounds each vertex k from above by ub[k] = min over held x of
     d(x, k) + ecc(x) (Takes & Kosters, Algorithms 2013). A vertex whose row
     is not held and whose ub cannot beat the bound is passed over without
-    an SSSP: its row could not raise the bound.
+    an SSSP: its row could not raise the bound. g is not read.
     """
-    n = g.n
+    n = provider.n
     center_row = provider.row(rr.center)
     ids = build_candidate_order(center_row)
     order, sd = ids.tolist(), center_row[ids].tolist()
@@ -168,7 +162,9 @@ def diameter_p1(
             pair = (k, l)
             trace.append(d_l)
 
-    return _result(
-        provider, d_l, pair, trace, vertices_scanned=scanned,
-        vertices_bounded=bounded, pairs_checked=pairs_checked,
+    return DiameterResult(
+        diameter=d_l, peripheral_pair=pair, d_lower_trace=trace,
+        vertices_scanned=scanned, vertices_bounded=bounded,
+        pairs_checked=pairs_checked, sssp_count=provider.sssp_count,
+        rows_accessed=provider.rows_accessed,
     )

@@ -43,8 +43,8 @@ class Graph:
 
     Vertex u's neighbours are indices[indptr[u]:indptr[u + 1]], and weights
     holds their edge weights at the same positions. n and m follow from the
-    arrays. Building a Graph makes the three arrays read-only: every search
-    on the graph shares them.
+    arrays. Building a Graph checks that their shapes agree and makes them
+    read-only: every search on the graph shares them.
 
     Adjacency is symmetric by construction: every undirected edge is stored
     as two directed arcs with identical weight. Parallel edges are collapsed
@@ -57,6 +57,17 @@ class Graph:
     weights: np.ndarray
 
     def __post_init__(self):
+        # O(1) checks only: from_arcs and _complete give sorted, in-range CSR.
+        try:
+            agree = (self.indptr.ndim == self.indices.ndim == self.weights.ndim == 1
+                     and self.indptr.size >= 2 and self.indptr[0] == 0
+                     and self.indptr[-1] == self.indices.size == self.weights.size)
+        except AttributeError:  # not numpy arrays
+            agree = False
+        if not agree:
+            raise GraphValidationError(
+                "CSR arrays disagree: need 1-D arrays and an indptr of n + 1 >= 2"
+                " entries from 0 to indices.size == weights.size")
         for a in (self.indptr, self.indices, self.weights):
             a.flags.writeable = False
 

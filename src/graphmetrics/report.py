@@ -31,13 +31,9 @@ class RunReport:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def dump_reports_json(reports: list[RunReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n"
-
-
 def write_reports_json(reports: list[RunReport], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_reports_json(reports))
+        fh.write(json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n")
 
 
 @dataclass

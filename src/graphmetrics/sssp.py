@@ -193,9 +193,7 @@ def sssp_vectorized(g: Graph, source: int) -> np.ndarray:
             dist[upd] = vals
             for v, dv in zip(upd.tolist(), vals.tolist()):
                 heappush(heap, (dv, v))
-    if remaining:
-        raise DisconnectedGraphError(source, int(np.flatnonzero(~done)[0]))
-    return dist
+    return _checked(dist, source)  # a vertex is settled iff its label is finite
 
 
 def eccentricity(row: np.ndarray) -> tuple[float, int]:
@@ -207,10 +205,10 @@ def eccentricity(row: np.ndarray) -> tuple[float, int]:
 class DistanceProvider:
     """Unified row access for Problems 1 and 2 with access accounting.
 
-    row(source) returns the distance array from source. On-demand mode
-    computes rows by sssp and caches them for the provider's lifetime (no
-    eviction); matrix-backed mode hands out views values[source] of a
-    precomputed DistanceMatrix, cached the same way.
+    row(source) returns the distance array from source. On demand, from
+    graph, it computes rows by sssp and caches them for its lifetime (no
+    eviction); matrix-backed, from matrix, it hands out views values[source],
+    cached the same way. Exactly one of graph and matrix is set.
     rows_accessed counts every row read, sssp_count only rows actually
     computed. held_rows shows the cached rows without reading any.
     """
@@ -218,8 +216,8 @@ class DistanceProvider:
     def __init__(self, graph: Graph | None = None, matrix: DistanceMatrix | None = None):
         if (graph is None) == (matrix is None):
             raise ValueError("provide exactly one of graph or matrix")
-        self._graph = graph
-        self._matrix = matrix
+        self.graph = graph
+        self.matrix = matrix
         self.n = graph.n if graph is not None else matrix.n
         self._cache: dict[int, np.ndarray] = {}
         self.sssp_count = 0
@@ -247,10 +245,10 @@ class DistanceProvider:
             return cached
         if not 0 <= source < self.n:
             raise ValueError(f"source {source} out of range")
-        if self._matrix is not None:
-            row = self._matrix.values[source]
+        if self.matrix is not None:
+            row = self.matrix.values[source]
         else:
-            row = sssp(self._graph, source)
+            row = sssp(self.graph, source)
             self.sssp_count += 1
         self._cache[source] = row
         return row

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphmetrics
 from graphmetrics.diameter import (
     build_candidate_order,
     diameter_p1,
     diameter_p2,
+    find_diameter,
 )
 from graphmetrics.graph import GraphSpec, generate
 from graphmetrics.oracle import apsp_repeated_sssp, scan_diameter, scan_metrics
@@ -14,7 +16,7 @@ from graphmetrics.radius import find_radius
 from graphmetrics.sssp import DistanceProvider
 
 from conftest import build_graph
-from test_radius import seeded_cases
+from test_radius import PINNED, seeded_cases
 
 
 def unit_complete(n):
@@ -303,3 +305,42 @@ class TestPruningSoundness:
             for l in range(k + 1, g.n):
                 if M[k, c] + M[c, l] <= d:
                     assert M[k, l] <= d + 1e-9
+
+
+class TestFindDiameter:
+    GRAPHS = [case[0] for case in PINNED] + list(seeded_cases(4, master_seed=31)) + [
+        generate(GraphSpec(kind=kind, n=n, seed=seed, target_edges=2 * n if kind == "sparse" else None))
+        for kind, n, seed in (("complete", 9, 1), ("sparse", 40, 2), ("sparse", 75, 3))
+    ]  # PINNED, then integer weights, then float weights
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+    def test_runs_the_variant_of_the_providers_backing(self, g):
+        M = apsp_repeated_sssp(g)
+        for make, variant in (
+            (lambda: DistanceProvider.on_demand(g), lambda rr, p: diameter_p1(g, rr, p)),
+            (lambda: DistanceProvider.from_matrix(M), lambda rr, p: diameter_p2(M, rr, provider=p)),
+        ):
+            found, direct = make(), make()
+            assert find_diameter(find_radius(found), found) == variant(find_radius(direct), direct)
+
+    @pytest.mark.parametrize("g", [
+        generate(GraphSpec(kind="sparse", n=12, seed=5, target_edges=16, integer_weights=True)),
+        generate(GraphSpec(kind="complete", n=30, seed=4)),
+    ], ids=["sparse12", "complete30"])
+    def test_on_demand_search_reads_no_graph(self, g):
+        p, q = DistanceProvider.on_demand(g), DistanceProvider.on_demand(g)
+        dr = diameter_p1(build_graph(1, []), find_radius(p), p)
+        assert dr == diameter_p1(g, find_radius(q), q)
+        assert dr.vertices_scanned > 0
+
+    def test_provider_exposes_its_backing(self, path4):
+        M = apsp_repeated_sssp(path4)
+        on_demand, from_matrix = DistanceProvider.on_demand(path4), DistanceProvider.from_matrix(M)
+        assert on_demand.graph is path4 and on_demand.matrix is None
+        assert from_matrix.matrix is M and from_matrix.graph is None
+
+    def test_is_the_package_search_api(self):
+        # diameter_p1 and diameter_p2 stay importable from graphmetrics.diameter (see above)
+        assert {"find_radius", "find_diameter"} <= set(graphmetrics.__all__)
+        for name in ("diameter_p1", "diameter_p2"):
+            assert name not in graphmetrics.__all__ and not hasattr(graphmetrics, name)

@@ -387,6 +387,16 @@ class TestFromArcs:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 
+    @pytest.mark.parametrize("indptr, indices, weights", [
+        (np.array([0, 1, 2]), np.array([1]), np.array([2.0, 2.0])),  # arc counts disagree
+        ([0, 1, 2], [1, 0], [2.0, 2.0]),  # not arrays
+        (np.array([0]), np.array([], dtype=np.int64), np.array([])),  # n = 0
+        (np.array([0, 1, 2]), np.array([1, 0]), np.array([[2.0, 2.0]])),  # 2-D weights
+    ], ids=["sizes", "lists", "n0", "2d"])
+    def test_arrays_that_disagree_rejected(self, indptr, indices, weights):
+        with pytest.raises(GraphValidationError, match="^CSR arrays disagree: need 1-D arrays"):
+            Graph(indptr, indices, weights)
+
     def test_graphs_and_matrices_compare_by_identity(self, path4):
         rebuilt = build_graph(4, edge_list(path4))
         assert path4 == path4
