@@ -352,7 +352,6 @@ def main(argv: list[str] | None = None) -> int:
         lead = "graph is disconnected; " if isinstance(exc, DisconnectedGraphError) else ""
         print(f"error: {lead}{_fault(exc)}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -15,48 +15,39 @@ import numpy as np
 
 from .sssp import DistanceProvider, eccentricity
 
-# With rows symmetric bit for bit the far-pair walk never revisits a vertex
-# (see far_pair), so the cap only bounds its SSSPs above 64 vertices, and
-# guards float rows, whose two directions can differ by an ulp. Any pair is
-# sound.
-FAR_PAIR_CAP = 64
-
 
 def far_pair(provider: DistanceProvider) -> tuple[int, int]:
     """Find two mutually remote vertices by the farthest-vertex walk.
 
     Start at vertex 0 and repeatedly jump to the farthest vertex (smallest
-    id on ties) until the walk revisits the vertex two steps back, or the
-    step cap is hit.
+    id on ties) until the walk reaches a vertex it has already walked; that
+    vertex and the last one are the pair. Every step but the last walks a
+    new vertex, so the walk reads each row once, reads at most n rows, and
+    holds both returned rows, but for n = 1 (no row is read) and for vertex
+    1 of the pair (0, 1) returned when every distance is 0.
 
     Where d(u, v) = d(v, u) exactly (integer weights whose path sums stay
-    below 2**53), no row is read twice. Write v[i] for the walk's i-th
-    vertex, so ecc(v[i]) = d(v[i], v[i+1]). ecc never falls along the walk:
-    ecc(v[i+1]) >= d(v[i+1], v[i]) = ecc(v[i]). So a revisit needs a stretch
-    of equal ecc. There v[i] is a farthest vertex from v[i+1], so the
-    smallest-id rule gives v[i+2] <= v[i], and v[i+2] < v[i] at every step
-    that does not end the walk; going round a loop would give v[i] < v[i].
-    So for n <= FAR_PAIR_CAP the walk, which reads a new row at each step,
-    always ends by the two-step rule.
-
-    Both returned vertices have their rows held, but for n = 1 (no row is
-    read), for vertex 1 of the pair (0, 1) returned when every distance is
-    0, and for p2 when the cap stops the walk: its row is never read.
+    below 2**53), the revisited vertex is always the one two steps back.
+    Write v[i] for the walk's i-th vertex, so ecc(v[i]) = d(v[i], v[i+1]).
+    ecc never falls along the walk: ecc(v[i+1]) >= d(v[i+1], v[i]) =
+    ecc(v[i]). So on a loop of the walk ecc is constant, each vertex is a
+    farthest vertex from the next one, and the smallest-id rule gives
+    v[i+2] <= v[i] all round the loop. A loop of three or more distinct
+    vertices makes that strict, and following it round gives v[i] < v[i].
     """
     n = provider.n
     if n == 1:
         return 0, 0
-    prev: int | None = None
     cur = 0
-    cap = min(n, FAR_PAIR_CAP)
-    for _ in range(cap):
+    walked = {cur}
+    while True:
         _, nxt = eccentricity(provider.row(cur))
         if nxt == cur:  # every distance is 0; only vertex 0's row gets here
             return 0, 1
-        if nxt == prev:
+        if nxt in walked:
             return cur, nxt
-        prev, cur = cur, nxt
-    return prev, cur
+        walked.add(nxt)
+        cur = nxt
 
 
 @dataclass(frozen=True)
@@ -65,10 +56,13 @@ class RadiusResult:
     center: int
     far_pair: tuple[int, int]  # where the far-pair walk ended; d(p1, p2) = ecc(p1)
     pivots: list[int]
-    candidates_examined: int
     sssp_count: int
     rows_accessed: int
-    bound_trace: list[tuple[float, float]]
+    bound_trace: list[tuple[float, float]]  # (r_lower, r_upper) after each candidate
+
+    @property
+    def candidates_examined(self) -> int:
+        return len(self.bound_trace)
 
 
 def find_radius(provider: DistanceProvider) -> RadiusResult:
@@ -99,14 +93,12 @@ def find_radius(provider: DistanceProvider) -> RadiusResult:
         pivots.append(p2)
     r_lower, r_upper = 0.0, math.inf
     center = None
-    examined = 0
     trace: list[tuple[float, float]] = []
 
-    while examined < n:
+    while len(trace) < n:
         c = int(bound.argmin())
         r_lower = max(r_lower, min(float(bound[c]), r_upper))
         bound[c] = math.inf
-        examined += 1
         ecc, far_v = eccentricity(provider.row(c))
         if ecc < r_upper:
             r_upper, center = ecc, c
@@ -123,7 +115,6 @@ def find_radius(provider: DistanceProvider) -> RadiusResult:
         center=center,
         far_pair=(p1, p2),
         pivots=pivots,
-        candidates_examined=examined,
         sssp_count=provider.sssp_count,
         rows_accessed=provider.rows_accessed,
         bound_trace=trace,

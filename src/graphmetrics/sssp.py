@@ -90,11 +90,11 @@ def sssp(g: Graph, source: int) -> np.ndarray:
     through memoryviews, so nothing is copied or kept between calls. All
     paths produce the same distances bit for bit.
     """
+    if g.average_degree >= SPARSE_DEGREE_CUT:
+        return sssp_vectorized(g, source)
     n = g.n
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range")
-    if g.average_degree >= SPARSE_DEGREE_CUT:
-        return sssp_vectorized(g, source)
     dist = np.full(n, np.inf)
     dist[source] = 0.0
     seeds = [source]
@@ -243,9 +243,9 @@ class DistanceProvider:
         cached = self._cache.get(source)
         if cached is not None:
             return cached
-        if not 0 <= source < self.n:
-            raise ValueError(f"source {source} out of range")
         if self.matrix is not None:
+            if not 0 <= source < self.n:  # sssp checks its own sources
+                raise ValueError(f"source {source} out of range")
             row = self.matrix.values[source]
         else:
             row = sssp(self.graph, source)

@@ -17,6 +17,7 @@ from graphmetrics.cli import main, parse_gen_spec
 from graphmetrics.graph import GraphValidationError, load_dimacs
 from graphmetrics.oracle import choose_baseline
 from graphmetrics.radius import find_radius
+from graphmetrics.report import CSV_COLUMNS
 
 PATH_FIXTURE = (
     "p sp 4 6\n"
@@ -129,6 +130,10 @@ class TestGenSpecParsing:
         assert main(["metrics", "--gen", text]) == 2
         assert f"weight range {weight_range} needs" in capsys.readouterr().err
 
+    def test_option_without_value_is_named(self, capsys):
+        assert main(["metrics", "--gen", "complete:5:seed=1:foo"]) == 2
+        assert capsys.readouterr().err == "error: bad generator option 'foo'\n"
+
 
 class TestMetricsCommand:
     def test_path_fixture_values(self, path_file, tmp_path, capsys):
@@ -220,6 +225,13 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert "declares 6 arcs but the file has 4" in err
         assert "disconnected" not in err
+
+    @pytest.mark.parametrize("text", ["", "c only\n", "c only"])
+    def test_missing_header_is_named(self, tmp_path, capsys, text):
+        p = tmp_path / "headless.gr"
+        p.write_text(text)
+        assert main(["metrics", "--input", str(p)]) == 2
+        assert capsys.readouterr().err == "error: missing 'p sp n m' header\n"
 
     def test_negative_arc_count_is_rejected(self, tmp_path, capsys):
         p = tmp_path / "neg.gr"
@@ -428,6 +440,12 @@ class TestBenchCommand:
         assert float(r1["value"]) == 2.0
         assert float(r1["sssp_share"]) <= 1.0
         assert r1["errors"] == ""
+
+    def test_csv_to_stdout(self, capsys):
+        assert main(["bench", "--gen", "complete:5:seed=0"]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header == CSV_COLUMNS
+        assert [r[header.index("algo")] for r in rows] == ["RC1", "R1", "DC1", "D1"]
 
     def test_p2_suite(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -7,7 +7,7 @@ from graphmetrics.graph import GraphSpec, generate
 from graphmetrics.oracle import apsp_repeated_sssp, scan_metrics
 from graphmetrics.diameter import diameter_p2
 from graphmetrics.radius import RadiusResult, far_pair, find_radius
-from graphmetrics.sssp import DistanceProvider
+from graphmetrics.sssp import DistanceMatrix, DistanceProvider
 
 from conftest import build_graph
 
@@ -29,32 +29,55 @@ def seeded_cases(count, lo=5, hi=120, master_seed=77):
 
 
 @st.composite
-def exact_graphs(draw):
+def walk_graphs(draw, weights):
     """Connected graphs of 1 to 64 vertices, a random spanning tree plus
-    random edges, with integer weights 0-3: ties, zero weights and exact
-    path sums, so every row is symmetric bit for bit."""
+    random edges, with weights drawn from weights."""
     n = draw(st.integers(1, 64))
     edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
     ids = st.integers(0, n - 1)
     edges += draw(st.lists(st.tuples(ids, ids), max_size=2 * n))
-    weights = draw(st.lists(st.integers(0, 3), min_size=len(edges), max_size=len(edges)))
-    return build_graph(n, [(u, v, float(w)) for (u, v), w in zip(edges, weights)])
+    ws = draw(st.lists(weights, min_size=len(edges), max_size=len(edges)))
+    return build_graph(n, [(u, v, float(w)) for (u, v), w in zip(edges, ws)])
+
+
+def assert_walk_reads_each_row_once(g):
+    """The walk stops at its first revisit, so it reads no row twice and
+    ends on a pair whose rows it has read."""
+    provider = DistanceProvider.on_demand(g)
+    p1, p2 = far_pair(provider)
+    assert provider.rows_accessed == provider.sssp_count
+    held = provider.held_rows()
+    if g.n == 1 or ((p1, p2) == (0, 1) and not held[0].any()):  # every distance is 0
+        return
+    assert p1 in held and p2 in held
 
 
 class TestFarPair:
+    # Integer weights 0-3: ties, zero weights and exact path sums, so every
+    # row is symmetric bit for bit and the walk ends two steps back.
     @settings(max_examples=300, deadline=None)
-    @given(exact_graphs())
+    @given(walk_graphs(st.integers(0, 3)))
     def test_exact_walk_reads_each_row_once(self, g):
-        # On exact rows the walk never revisits a vertex, so up to
-        # FAR_PAIR_CAP vertices it ends by the two-step rule, on a pair
-        # whose rows it has read.
-        provider = DistanceProvider.on_demand(g)
-        p1, p2 = far_pair(provider)
-        assert provider.rows_accessed == provider.sssp_count
-        held = provider.held_rows()
-        if g.n == 1 or ((p1, p2) == (0, 1) and not held[0].any()):  # every distance is 0
-            return
-        assert p1 in held and p2 in held
+        assert_walk_reads_each_row_once(g)
+
+    # Float path sums can differ by an ulp between the two directions.
+    @settings(max_examples=300, deadline=None)
+    @given(walk_graphs(st.floats(0.0, 100.0)))
+    def test_float_walk_reads_each_row_once(self, g):
+        assert_walk_reads_each_row_once(g)
+
+    def test_long_climb_reads_every_row(self):
+        # Row i's farthest vertex is i + 1, so the walk climbs all 70 rows
+        # and turns back at the last.
+        n = 70
+        values = np.full((n, n), 0.5)
+        np.fill_diagonal(values, 0.0)
+        i = np.arange(n - 1)
+        values[i, i + 1] = values[i + 1, i] = i + 1
+        provider = DistanceProvider.from_matrix(DistanceMatrix(values))
+        assert far_pair(provider) == (69, 68)
+        assert provider.rows_accessed == n
+        assert 69 in provider.held_rows() and 68 in provider.held_rows()
 
     def test_path_walk(self, path4):
         # walk 0 -> 3 -> 0 revisits, so the pair is (3, 0)
@@ -179,10 +202,12 @@ def test_pinned_results(case, mode):
         provider = DistanceProvider.on_demand(g)
     else:
         provider, sssp_count = DistanceProvider.from_matrix(apsp_repeated_sssp(g)), 0
-    assert find_radius(provider) == RadiusResult(
-        radius=radius, center=center, far_pair=far, pivots=pivots, candidates_examined=examined,
+    rr = find_radius(provider)
+    assert rr == RadiusResult(
+        radius=radius, center=center, far_pair=far, pivots=pivots,
         sssp_count=sssp_count, rows_accessed=rows, bound_trace=trace,
     )
+    assert rr.candidates_examined == examined
 
 
 @pytest.mark.parametrize("g", list(seeded_cases(6, master_seed=5)), ids=lambda g: f"n{g.n}m{g.m}")

@@ -241,9 +241,12 @@ class TestListRelaxation:
             assert heaps == []  # sssp converges in rounds with inf left
 
     def test_source_out_of_range(self, path4):
-        for source in (-1, 4):
-            with pytest.raises(ValueError, match="out of range"):
-                sssp(path4, source)
+        dense = generate(GraphSpec(kind="complete", n=70))
+        assert dense.average_degree >= SPARSE_DEGREE_CUT  # sssp_vectorized's own check
+        for g in (path4, dense):
+            for source in (-1, g.n):
+                with pytest.raises(ValueError, match=f"source {source} out of range"):
+                    sssp(g, source)
 
 
 class TestEccentricity:
@@ -296,15 +299,16 @@ class TestDistanceProvider:
 
     @pytest.mark.parametrize("mode", ["on_demand", "matrix"])
     def test_source_out_of_range(self, path4, mode):
-        if mode == "on_demand":
-            p = DistanceProvider.on_demand(path4)
-        else:
-            p = DistanceProvider.from_matrix(apsp_repeated_sssp(path4))
-        for source in (-1, path4.n):
-            with pytest.raises(ValueError, match=f"source {source} out of range"):
-                p.row(source)
-        assert dict(p.held_rows()) == {}
-        assert p.sssp_count == 0
+        for g in (path4, generate(GraphSpec(kind="complete", n=70))):  # sparse and dense kernels
+            if mode == "on_demand":
+                p = DistanceProvider.on_demand(g)
+            else:
+                p = DistanceProvider.from_matrix(apsp_repeated_sssp(g))
+            for source in (-1, g.n):
+                with pytest.raises(ValueError, match=f"source {source} out of range"):
+                    p.row(source)
+            assert dict(p.held_rows()) == {}
+            assert p.sssp_count == 0
 
 
 def test_public_names():
