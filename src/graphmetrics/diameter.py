@@ -101,9 +101,6 @@ def diameter_p2(
     )
 
 
-# An overflowed sum row + ecc is inf, which never beats a finite label and
-# only weakens a bound.
-@np.errstate(over="ignore")
 def diameter_p1(
     g: Graph, rr: RadiusResult, provider: DistanceProvider
 ) -> DiameterResult:
@@ -122,7 +119,19 @@ def diameter_p1(
     d(x, k) + ecc(x) (Takes & Kosters, Algorithms 2013). A vertex whose row
     is not held and whose ub cannot beat the bound is passed over without
     an SSSP: its row could not raise the bound. g is not read.
+
+    A sum row + ecc that overflows is inf, which only weakens a bound. Only
+    a graph whose sums may overflow (sums_fit false) runs the search under
+    np.errstate(over="ignore"), so that numpy warns of none.
     """
+    if provider.graph.sums_fit:
+        return _diameter_p1(rr, provider)
+    with np.errstate(over="ignore"):
+        return _diameter_p1(rr, provider)
+
+
+def _diameter_p1(rr: RadiusResult, provider: DistanceProvider) -> DiameterResult:
+    """diameter_p1's search, under whatever numpy error state the caller set."""
     n = provider.n
     center_row = provider.row(rr.center)
     ids = build_candidate_order(center_row)

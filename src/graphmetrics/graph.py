@@ -94,6 +94,17 @@ class Graph:
         """True iff no vertex has degree 0; found once per graph."""
         return bool((self.indptr[1:] > self.indptr[:-1]).all())
 
+    @cached_property
+    def sums_fit(self) -> bool:
+        """True iff 4 * n * w_max is finite; found once per graph.
+
+        Then no sum a search forms can overflow, with a factor of 2 to
+        spare: a label plus an arc in sssp is at most n * w_max (a label is
+        a path of at most n - 1 arcs), and row + ecc in the on-demand
+        diameter search at most 2 * (n - 1) * w_max.
+        """
+        return math.isfinite(4 * self.n * float(self.weights.max(initial=0.0)))
+
 
 def from_arcs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
     """Build a Graph from directed arc arrays.

@@ -16,15 +16,19 @@ import numpy as np
 from .sssp import DistanceProvider, eccentricity
 
 
-def far_pair(provider: DistanceProvider) -> tuple[int, int]:
+def far_pair(provider: DistanceProvider) -> tuple[tuple[int, int], np.ndarray, list[int]]:
     """Find two mutually remote vertices by the farthest-vertex walk.
 
     Start at vertex 0 and repeatedly jump to the farthest vertex (smallest
     id on ties) until the walk reaches a vertex it has already walked; that
     vertex and the last one are the pair. Every step but the last walks a
     new vertex, so the walk reads each row once, reads at most n rows, and
-    holds both returned rows, but for n = 1 (no row is read) and for vertex
-    1 of the pair (0, 1) returned when every distance is 0.
+    holds both returned rows, but for vertex 1 of the pair (0, 1) returned
+    when every distance is 0 ((0, 0) on one vertex).
+
+    Returns the pair, the elementwise maximum of the rows walked (a fresh
+    array: each entry bounds its vertex's eccentricity from below) and the
+    walked vertices in the order their rows were read.
 
     Where d(u, v) = d(v, u) exactly (integer weights whose path sums stay
     below 2**53), the revisited vertex is always the one two steps back.
@@ -35,19 +39,20 @@ def far_pair(provider: DistanceProvider) -> tuple[int, int]:
     v[i+2] <= v[i] all round the loop. A loop of three or more distinct
     vertices makes that strict, and following it round gives v[i] < v[i].
     """
-    n = provider.n
-    if n == 1:
-        return 0, 0
     cur = 0
-    walked = {cur}
+    row = provider.row(cur)
+    bound = row.copy()  # a view would write into a matrix
+    walked = [cur]
     while True:
-        _, nxt = eccentricity(provider.row(cur))
+        _, nxt = eccentricity(row)
         if nxt == cur:  # every distance is 0; only vertex 0's row gets here
-            return 0, 1
+            return (0, min(1, provider.n - 1)), bound, walked
         if nxt in walked:
-            return cur, nxt
-        walked.add(nxt)
+            return (cur, nxt), bound, walked
+        walked.append(nxt)
         cur = nxt
+        row = provider.row(cur)
+        np.maximum(bound, row, out=bound)
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,7 @@ class RadiusResult:
     radius: float
     center: int
     far_pair: tuple[int, int]  # where the far-pair walk ended; d(p1, p2) = ecc(p1)
-    pivots: list[int]
+    pivots: list[int]  # the walk's vertices, then each new farthest vertex of a candidate
     sssp_count: int
     rows_accessed: int
     bound_trace: list[tuple[float, float]]  # (r_lower, r_upper) after each candidate
@@ -69,9 +74,12 @@ def find_radius(provider: DistanceProvider) -> RadiusResult:
     """Exact radius and one center via pivot bounds and candidate checks.
 
     bound[v] is the largest distance from v to any pivot so far, a lower
-    bound on ecc(v). Loop: pick the unexamined vertex with the smallest
-    bound, verify its true eccentricity (tightening the upper bound), and if
-    the bounds have not met, add its farthest vertex as a new pivot.
+    bound on ecc(v) (Takes & Kosters, Algorithms 2013). The pivots start as
+    every vertex the far-pair walk read, whose rows far_pair hands over
+    already folded into bound, so no walk row is read again or thrown away.
+    Loop: pick the unexamined vertex with the smallest bound, verify its
+    true eccentricity (tightening the upper bound), and if the bounds have
+    not met, add its farthest vertex as a new pivot.
 
     An examined vertex is pinned at +inf in bound: its eccentricity is known
     and at least r_upper, so it no longer bounds the radius, and picking a
@@ -84,13 +92,7 @@ def find_radius(provider: DistanceProvider) -> RadiusResult:
     and the best seen is exact.
     """
     n = provider.n
-    p1, p2 = far_pair(provider)
-    bound = provider.row(p1).copy()  # a view would write +inf into a matrix
-    pivots = [p1]
-    row = provider.row(p2)
-    if p2 != p1:
-        np.maximum(bound, row, out=bound)
-        pivots.append(p2)
+    pair, bound, pivots = far_pair(provider)
     r_lower, r_upper = 0.0, math.inf
     center = None
     trace: list[tuple[float, float]] = []
@@ -113,7 +115,7 @@ def find_radius(provider: DistanceProvider) -> RadiusResult:
     return RadiusResult(
         radius=r_upper,
         center=center,
-        far_pair=(p1, p2),
+        far_pair=pair,
         pivots=pivots,
         sssp_count=provider.sssp_count,
         rows_accessed=provider.rows_accessed,

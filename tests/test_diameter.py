@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphmetrics
+import graphmetrics.diameter as diameter_module
+import graphmetrics.sssp as sssp_module
 from graphmetrics.diameter import (
     build_candidate_order,
     diameter_p1,
@@ -11,9 +13,15 @@ from graphmetrics.diameter import (
     find_diameter,
 )
 from graphmetrics.graph import GraphSpec, generate
-from graphmetrics.oracle import apsp_repeated_sssp, scan_diameter, scan_metrics
+from graphmetrics.oracle import (
+    apsp_repeated_sssp,
+    dijkstra_matrix,
+    scan_diameter,
+    scan_metrics,
+    scan_radius,
+)
 from graphmetrics.radius import find_radius
-from graphmetrics.sssp import DistanceProvider
+from graphmetrics.sssp import DistanceProvider, sssp
 
 from conftest import build_graph
 from test_radius import PINNED, seeded_cases
@@ -344,3 +352,25 @@ class TestFindDiameter:
         assert {"find_radius", "find_diameter"} <= set(graphmetrics.__all__)
         for name in ("diameter_p1", "diameter_p2"):
             assert name not in graphmetrics.__all__ and not hasattr(graphmetrics, name)
+
+
+def test_sums_above_float_max_are_silent_in_process():
+    # Accepted, since w_max * (n - 1) is finite, but 1.6e308 + 8e307 is not:
+    # sssp's round sums and D1's held-row bound row + ecc overflow to inf.
+    # Tier-1 turns a RuntimeWarning into an error, so each call below would
+    # fail if it warned.
+    g = build_graph(3, [(0, 1, 8e307), (0, 2, 8e307)])
+    assert not g.sums_fit
+    rows = [sssp(g, s).tolist() for s in range(g.n)]
+    assert rows == [[0.0, 8e307, 8e307], [8e307, 0.0, 1.6e308], [8e307, 1.6e308, 0.0]]
+    M = dijkstra_matrix(g)
+    provider = DistanceProvider.on_demand(g)
+    rr = find_radius(provider)
+    dr = find_diameter(rr, provider)
+    assert (rr.radius, rr.center) == scan_radius(M)
+    assert (dr.diameter, tuple(sorted(dr.peripheral_pair))) == scan_diameter(M)
+    # Without the error state both kernels would warn on this graph.
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        sssp_module._sssp(g, 1)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        diameter_module._diameter_p1(rr, provider)

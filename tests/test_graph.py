@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import sys
 from collections import deque
 from unittest import mock
 
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphmetrics import graph as graph_module
+from graphmetrics.cli import parse_gen_spec
 from graphmetrics.graph import (
     DimacsParseError,
     Graph,
@@ -368,6 +371,31 @@ class TestFromArcs:
         assert path4.every_vertex_has_arc
         assert not build_graph(3, [(0, 1, 1.0)]).every_vertex_has_arc
         assert not build_graph(1, []).every_vertex_has_arc
+
+    @pytest.mark.parametrize("spec", [  # the benchmark workloads' graph patterns
+        "sparse:100:300:seed=0:wlo=1:whi=100:int=1",
+        "complete:50:seed=0:wlo=0:whi=100:int=0",
+        "complete:120:seed=0:wlo=0:whi=100:int=0",
+    ])
+    def test_workload_sums_fit(self, spec):
+        assert generate(parse_gen_spec(spec)).sums_fit
+
+    def test_sums_fit(self):
+        assert build_graph(1, []).sums_fit
+        # accepted (8e307 * (n - 1) is finite), but 8e307 * 4 * n is not
+        assert not build_graph(3, [(0, 1, 8e307), (0, 2, 8e307)]).sums_fit
+
+    def test_sums_fit_boundary(self):
+        n = 3
+        w = sys.float_info.max / (4 * n)
+        while math.isfinite(4 * n * math.nextafter(w, math.inf)):
+            w = math.nextafter(w, math.inf)
+        while not math.isfinite(4 * n * w):
+            w = math.nextafter(w, 0.0)
+        # w is the largest weight with 4 * n * w finite
+        assert build_graph(n, [(0, 1, w), (1, 2, 1.0)]).sums_fit
+        above = math.nextafter(w, math.inf)
+        assert not build_graph(n, [(0, 1, above), (1, 2, 1.0)]).sums_fit
 
     @pytest.mark.parametrize("name", ["indptr", "indices", "weights"])
     def test_csr_arrays_are_read_only(self, path4, name):

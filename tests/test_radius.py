@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphmetrics.graph import GraphSpec, generate
-from graphmetrics.oracle import apsp_repeated_sssp, scan_metrics
+from graphmetrics.oracle import apsp_repeated_sssp, dijkstra_matrix, scan_metrics
 from graphmetrics.diameter import diameter_p2
 from graphmetrics.radius import RadiusResult, far_pair, find_radius
 from graphmetrics.sssp import DistanceMatrix, DistanceProvider
@@ -42,14 +42,23 @@ def walk_graphs(draw, weights):
 
 def assert_walk_reads_each_row_once(g):
     """The walk stops at its first revisit, so it reads no row twice and
-    ends on a pair whose rows it has read."""
-    provider = DistanceProvider.on_demand(g)
-    p1, p2 = far_pair(provider)
-    assert provider.rows_accessed == provider.sssp_count
-    held = provider.held_rows()
-    if g.n == 1 or ((p1, p2) == (0, 1) and not held[0].any()):  # every distance is 0
-        return
-    assert p1 in held and p2 in held
+    ends on a pair whose rows it has read. It hands back every row it read,
+    folded into one fresh bound, and the walked vertices in reading order.
+    Over a matrix it reads the same rows and writes none."""
+    M = dijkstra_matrix(g)
+    before = M.values.tobytes()
+    for provider in (DistanceProvider.on_demand(g), DistanceProvider.from_matrix(M)):
+        (p1, p2), bound, walked = far_pair(provider)
+        held = provider.held_rows()
+        assert provider.rows_accessed == len(held)
+        assert walked == list(held)
+        assert bound.tobytes() == np.maximum.reduce(list(held.values())).tobytes()
+        assert not np.shares_memory(bound, M.values)
+        if (p1, p2) == (0, 1) and not held[0].any():  # every distance is 0
+            assert walked == [0]
+            continue
+        assert p1 in held and p2 in held
+    assert M.values.tobytes() == before
 
 
 class TestFarPair:
@@ -75,31 +84,34 @@ class TestFarPair:
         i = np.arange(n - 1)
         values[i, i + 1] = values[i + 1, i] = i + 1
         provider = DistanceProvider.from_matrix(DistanceMatrix(values))
-        assert far_pair(provider) == (69, 68)
+        pair, bound, walked = far_pair(provider)
+        assert pair == (69, 68)
+        assert walked == list(range(n))
+        assert bound.tolist() == values.max(axis=0).tolist()
         assert provider.rows_accessed == n
         assert 69 in provider.held_rows() and 68 in provider.held_rows()
 
     def test_path_walk(self, path4):
         # walk 0 -> 3 -> 0 revisits, so the pair is (3, 0)
-        assert far_pair(DistanceProvider.on_demand(path4)) == (3, 0)
+        assert far_pair(DistanceProvider.on_demand(path4))[0] == (3, 0)
 
     def test_star_walk(self, star4):
         # 0 -> 1 -> 2 -> 1 revisits leaf 1
-        assert far_pair(DistanceProvider.on_demand(star4)) == (2, 1)
+        assert far_pair(DistanceProvider.on_demand(star4))[0] == (2, 1)
 
     def test_single_vertex(self):
         g = build_graph(1, [])
-        assert far_pair(DistanceProvider.on_demand(g)) == (0, 0)
+        assert far_pair(DistanceProvider.on_demand(g))[0] == (0, 0)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_zero_weights_give_two_vertices(self, n):
         g = build_graph(n, [(i, i + 1, 0.0) for i in range(n - 1)])
-        assert far_pair(DistanceProvider.on_demand(g)) == (0, 1)
+        assert far_pair(DistanceProvider.on_demand(g))[0] == (0, 1)
 
     def test_pair_beats_random_pairs(self):
         g = generate(GraphSpec(kind="sparse", n=100, seed=5, target_edges=250))
         M = apsp_repeated_sssp(g).values
-        p1, p2 = far_pair(DistanceProvider.on_demand(g))
+        (p1, p2), _, _ = far_pair(DistanceProvider.on_demand(g))
         rng = np.random.default_rng(1)
         sample = M[rng.integers(0, 100, 50), rng.integers(0, 100, 50)]
         assert M[p1, p2] >= sample.max()
@@ -175,22 +187,23 @@ class TestFindRadius:
 
 # Full results of find_radius: (graph, radius, center, far_pair, pivots,
 # candidates_examined, SSSPs on demand, rows_accessed, bound_trace). Both
-# modes read the same rows; over a matrix no SSSP runs.
+# modes read the same rows; over a matrix no SSSP runs. Every row the walk
+# reads is a pivot, and no row is read twice for it.
 PINNED = [
-    (build_graph(1, []), 0.0, 0, (0, 0), [0], 1, 1, 3, [(0.0, 0.0)]),
-    (build_graph(2, [(0, 1, 7.0)]), 7.0, 0, (1, 0), [1, 0], 1, 2, 5, [(7.0, 7.0)]),
+    (build_graph(1, []), 0.0, 0, (0, 0), [0], 1, 1, 2, [(0.0, 0.0)]),
+    (build_graph(2, [(0, 1, 7.0)]), 7.0, 0, (1, 0), [0, 1], 1, 2, 3, [(7.0, 7.0)]),
     (generate(GraphSpec(kind="complete", n=6, weight_range=(0.0, 0.0), integer_weights=True)),
-     0.0, 0, (0, 1), [0, 1], 1, 2, 4, [(0.0, 0.0)]),
+     0.0, 0, (0, 1), [0], 1, 1, 2, [(0.0, 0.0)]),
     (generate(GraphSpec(kind="complete", n=12, seed=3)),
-     42.857290429846195, 11, (8, 4), [8, 4, 6], 2, 6, 8,
+     42.857290429846195, 11, (8, 4), [0, 4, 8, 6], 2, 6, 6,
      [(30.375694222095316, 50.65316551844123), (42.857290429846195, 42.857290429846195)]),
     (generate(GraphSpec(kind="complete", n=8, seed=69)),
-     52.549648746070396, 5, (6, 0), [6, 0, 4], 2, 5, 7,
+     52.549648746070396, 5, (6, 0), [0, 6, 4], 2, 5, 5,
      [(47.658484007382285, 52.549648746070396), (52.549648746070396, 52.549648746070396)]),
     (generate(GraphSpec(kind="sparse", n=60, seed=5, target_edges=150,
                         weight_range=(1.0, 100.0), integer_weights=True)),
-     112.0, 2, (27, 54), [27, 54, 51, 38], 3, 8, 10,
-     [(107.0, 123.0), (107.0, 113.0), (112.0, 112.0)]),
+     112.0, 2, (27, 54), [0, 54, 27, 38], 2, 6, 6,
+     [(107.0, 113.0), (112.0, 112.0)]),
 ]
 
 
