@@ -7,8 +7,9 @@ the arrays read-only. from_arcs builds every graph given as an arc list
 (DIMACS files, the sparse generator); the complete generator writes its
 graph straight into CSR form, with no arc list and no sort, and gives the
 same bytes. Both apply one set of weight rules. Whether a graph is
-connected is found by the first shortest-path run from vertex 0;
-check_connected answers the same question without a search, by label
+connected is found by the first shortest-path run of a search, which on a
+disconnected graph raises naming the smallest vertex that vertex 0 cannot
+reach; check_connected answers the same question without a search, by label
 hooking: a few numpy rounds over the whole CSR in which every vertex takes
 the smallest label near it, until every label is 0 or a round changes
 nothing.
@@ -104,6 +105,20 @@ class Graph:
         diameter search at most 2 * (n - 1) * w_max.
         """
         return math.isfinite(4 * self.n * float(self.weights.max(initial=0.0)))
+
+    @cached_property
+    def walk_start(self) -> int:
+        """The vertex whose lightest arc is the heaviest (smallest id on
+        ties); found once per graph.
+
+        Every other vertex is at least that lightest arc away from it, so it
+        lies near the periphery, where the far-pair walk starts. It is 0 when
+        some vertex has no arc (one vertex, or a disconnected graph), and
+        when every weight is 0.
+        """
+        if not self.every_vertex_has_arc:  # also keeps reduceat's segments non-empty
+            return 0
+        return int(np.minimum.reduceat(self.weights, self.indptr[:-1]).argmax())
 
 
 def from_arcs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
@@ -475,9 +490,11 @@ def check_connected(g: Graph) -> bool:
     arc and each component carries its smallest id: a round that changes
     nothing while some label is not 0 proves a second component.
 
-    The searches need no separate check: the first sssp from vertex 0 (or
-    floyd_warshall) raises DisconnectedGraphError naming the smallest
-    unreachable vertex.
+    The searches need no separate check: their first sssp (or
+    floyd_warshall) raises DisconnectedGraphError, naming the smallest
+    vertex unreachable from vertex 0. Where the far-pair walk starts
+    elsewhere and its first row raises, it reads vertex 0's row, which
+    raises that error.
     """
     if g.n == 1:
         return True

@@ -31,8 +31,15 @@ DISCONNECTED_FIXTURE = "p sp 4 2\na 1 2 1\na 3 4 1\n"
 # Two disjoint triangles: average degree 2 > n/4, so p2 builds by Floyd-Warshall.
 TWO_TRIANGLES = "p sp 6 6\na 1 2 1\na 2 3 1\na 1 3 1\na 4 5 1\na 5 6 1\na 4 6 1\n"
 
+# Every vertex has an arc, and vertex 3's lightest arc is the heaviest, so
+# the on-demand walk starts there (internal id 2), not at vertex 1.
+HEAVY_SECOND_PART = "p sp 4 2\na 1 2 1\na 3 4 5\n"
+
 # (file text, matrix builder it gets, internal id of the smallest vertex 0 cannot reach)
-DISCONNECTED_INPUTS = [(DISCONNECTED_FIXTURE, "dijkstra", 2), (TWO_TRIANGLES, "floyd", 3)]
+DISCONNECTED_INPUTS = [
+    (DISCONNECTED_FIXTURE, "dijkstra", 2), (TWO_TRIANGLES, "floyd", 3),
+    (HEAVY_SECOND_PART, "dijkstra", 2),
+]
 
 # One vertex above the matrix cap and no arcs: disconnected, but every command
 # that builds a matrix refuses it first.

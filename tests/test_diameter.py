@@ -229,12 +229,12 @@ class TestHeldRowBound:
         """With float weights D1 reports d(k, l) as row k holds it. Here the
         bound passes over one vertex, and the oracle's maximum, d(l, k) read
         from row l, is one ulp larger."""
-        g = generate(GraphSpec(kind="complete", n=12, seed=267))
+        g = generate(GraphSpec(kind="complete", n=12, seed=502))
         M = apsp_repeated_sssp(g)
         p = DistanceProvider.on_demand(g)
         dr = diameter_p1(g, find_radius(p), p)
         k, l = dr.peripheral_pair
-        assert (k, l) == (3, 7) and dr.vertices_bounded == 1
+        assert (k, l) == (11, 3) and dr.vertices_bounded == 1
         assert dr.diameter == M.values[k, l]
         assert scan_metrics(M).diameter == M.values[l, k] == np.nextafter(dr.diameter, np.inf)
 
@@ -316,7 +316,7 @@ class TestPruningSoundness:
 
 
 class TestFindDiameter:
-    GRAPHS = [case[0] for case in PINNED] + list(seeded_cases(4, master_seed=31)) + [
+    GRAPHS = [g for g, _ in PINNED.values()] + list(seeded_cases(4, master_seed=31)) + [
         generate(GraphSpec(kind=kind, n=n, seed=seed, target_edges=2 * n if kind == "sparse" else None))
         for kind, n, seed in (("complete", 9, 1), ("sparse", 40, 2), ("sparse", 75, 3))
     ]  # PINNED, then integer weights, then float weights

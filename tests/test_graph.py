@@ -397,6 +397,26 @@ class TestFromArcs:
         above = math.nextafter(w, math.inf)
         assert not build_graph(n, [(0, 1, above), (1, 2, 1.0)]).sums_fit
 
+    def test_walk_start_one_vertex(self):
+        assert build_graph(1, []).walk_start == 0
+
+    def test_walk_start_with_a_vertex_without_arcs(self):
+        # vertex 3 has no arc; the other lightest arcs are 2, 5 and 5
+        assert build_graph(4, [(0, 1, 2.0), (1, 2, 5.0)]).walk_start == 0
+
+    def test_walk_start_zero_weights(self):
+        assert build_graph(4, [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0)]).walk_start == 0
+
+    def test_walk_start_tie_takes_the_smallest_id(self):
+        # a 4-cycle with lightest arcs 1, 3, 3, 1: vertices 1 and 2 tie
+        g = build_graph(4, [(0, 1, 3.0), (1, 2, 3.0), (2, 3, 3.0), (3, 0, 1.0)])
+        assert g.walk_start == 1
+
+    def test_walk_start_star_with_one_heavy_spoke(self):
+        # every lightest arc is 1 but the heavy leaf's, 9
+        g = build_graph(5, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 9.0), (0, 4, 1.0)])
+        assert g.walk_start == 3
+
     @pytest.mark.parametrize("name", ["indptr", "indices", "weights"])
     def test_csr_arrays_are_read_only(self, path4, name):
         with pytest.raises(ValueError, match="read-only"):

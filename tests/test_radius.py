@@ -7,7 +7,7 @@ from graphmetrics.graph import GraphSpec, generate
 from graphmetrics.oracle import apsp_repeated_sssp, dijkstra_matrix, scan_metrics
 from graphmetrics.diameter import diameter_p2
 from graphmetrics.radius import RadiusResult, far_pair, find_radius
-from graphmetrics.sssp import DistanceMatrix, DistanceProvider
+from graphmetrics.sssp import DisconnectedGraphError, DistanceMatrix, DistanceProvider
 
 from conftest import build_graph
 
@@ -61,6 +61,22 @@ def assert_walk_reads_each_row_once(g):
     assert M.values.tobytes() == before
 
 
+def assert_walk_starts_at_walk_start(g):
+    """On demand the walk starts at g.walk_start, over a matrix at 0. Where
+    every vertex has an arc, the start's lightest arc is the largest of any
+    vertex's (the first such vertex), and no other vertex is closer to it."""
+    on_demand = DistanceProvider.on_demand(g)
+    assert far_pair(on_demand)[2][0] == g.walk_start
+    assert far_pair(DistanceProvider.from_matrix(dijkstra_matrix(g)))[2][0] == 0
+    if not g.every_vertex_has_arc:
+        assert g.walk_start == 0
+        return
+    lightest = [float(g.neighbors(v)[1].min()) for v in range(g.n)]
+    assert g.walk_start == lightest.index(max(lightest))
+    row = on_demand.row(g.walk_start)  # held since the walk
+    assert (np.delete(row, g.walk_start) >= lightest[g.walk_start]).all()
+
+
 class TestFarPair:
     # Integer weights 0-3: ties, zero weights and exact path sums, so every
     # row is symmetric bit for bit and the walk ends two steps back.
@@ -74,6 +90,12 @@ class TestFarPair:
     @given(walk_graphs(st.floats(0.0, 100.0)))
     def test_float_walk_reads_each_row_once(self, g):
         assert_walk_reads_each_row_once(g)
+
+    # Small integer weights tie often; floats rarely do.
+    @settings(max_examples=300, deadline=None)
+    @given(walk_graphs(st.integers(0, 3)) | walk_graphs(st.floats(0.0, 100.0)))
+    def test_walk_starts_at_walk_start(self, g):
+        assert_walk_starts_at_walk_start(g)
 
     def test_long_climb_reads_every_row(self):
         # Row i's farthest vertex is i + 1, so the walk climbs all 70 rows
@@ -160,6 +182,20 @@ class TestFindRadius:
         for lo, up in rr.bound_trace:
             assert lo <= oracle.radius <= up
 
+    @pytest.mark.parametrize("n, edges, start, unreachable", [
+        (4, [(0, 1, 1.0), (2, 3, 5.0)], 2, 2),
+        (4, [(0, 2, 1.0), (1, 3, 5.0)], 1, 1),
+        (5, [(0, 1, 1.0), (2, 3, 5.0), (3, 4, 5.0)], 2, 2),
+    ])
+    def test_disconnected_names_what_vertex_0_cannot_reach(self, n, edges, start, unreachable):
+        # The walk starts elsewhere, but the error is the one every search
+        # gives: the smallest vertex unreachable from vertex 0.
+        g = build_graph(n, edges)
+        assert g.walk_start == start
+        with pytest.raises(DisconnectedGraphError) as exc:
+            find_radius(DistanceProvider.on_demand(g))
+        assert (exc.value.source, exc.value.vertex) == (0, unreachable)
+
     def test_candidate_budget(self):
         g = generate(GraphSpec(kind="sparse", n=150, seed=6, target_edges=400))
         rr = find_radius(DistanceProvider.on_demand(g))
@@ -185,35 +221,48 @@ class TestFindRadius:
         assert rr.sssp_count <= path4.n
 
 
-# Full results of find_radius: (graph, radius, center, far_pair, pivots,
-# candidates_examined, SSSPs on demand, rows_accessed, bound_trace). Both
-# modes read the same rows; over a matrix no SSSP runs. Every row the walk
-# reads is a pivot, and no row is read twice for it.
-PINNED = [
-    (build_graph(1, []), 0.0, 0, (0, 0), [0], 1, 1, 2, [(0.0, 0.0)]),
-    (build_graph(2, [(0, 1, 7.0)]), 7.0, 0, (1, 0), [0, 1], 1, 2, 3, [(7.0, 7.0)]),
-    (generate(GraphSpec(kind="complete", n=6, weight_range=(0.0, 0.0), integer_weights=True)),
-     0.0, 0, (0, 1), [0], 1, 1, 2, [(0.0, 0.0)]),
-    (generate(GraphSpec(kind="complete", n=12, seed=3)),
-     42.857290429846195, 11, (8, 4), [0, 4, 8, 6], 2, 6, 6,
-     [(30.375694222095316, 50.65316551844123), (42.857290429846195, 42.857290429846195)]),
-    (generate(GraphSpec(kind="complete", n=8, seed=69)),
-     52.549648746070396, 5, (6, 0), [0, 6, 4], 2, 5, 5,
-     [(47.658484007382285, 52.549648746070396), (52.549648746070396, 52.549648746070396)]),
-    (generate(GraphSpec(kind="sparse", n=60, seed=5, target_edges=150,
-                        weight_range=(1.0, 100.0), integer_weights=True)),
-     112.0, 2, (27, 54), [0, 54, 27, 38], 2, 6, 6,
-     [(107.0, 113.0), (112.0, 112.0)]),
-]
+# Full results of find_radius: (radius, center, far_pair, pivots,
+# candidates_examined, SSSPs on demand, rows_accessed, bound_trace). Over a
+# matrix no SSSP runs. Every row the walk reads is a pivot, and no row is
+# read twice for it. Over a matrix the walk starts at vertex 0, on demand at
+# g.walk_start: where that is 0 both modes read the same rows, and elsewhere
+# P1_PINNED holds the on-demand results.
+PINNED = {
+    "n1": (build_graph(1, []), (0.0, 0, (0, 0), [0], 1, 1, 2, [(0.0, 0.0)])),
+    "n2": (build_graph(2, [(0, 1, 7.0)]), (7.0, 0, (1, 0), [0, 1], 1, 2, 3, [(7.0, 7.0)])),
+    "zero": (generate(GraphSpec(kind="complete", n=6, weight_range=(0.0, 0.0), integer_weights=True)),
+             (0.0, 0, (0, 1), [0], 1, 1, 2, [(0.0, 0.0)])),
+    "complete12": (generate(GraphSpec(kind="complete", n=12, seed=3)),
+                   (42.857290429846195, 11, (8, 4), [0, 4, 8, 6], 2, 6, 6,
+                    [(30.375694222095316, 50.65316551844123),
+                     (42.857290429846195, 42.857290429846195)])),
+    "complete8": (generate(GraphSpec(kind="complete", n=8, seed=69)),
+                  (52.549648746070396, 5, (6, 0), [0, 6, 4], 2, 5, 5,
+                   [(47.658484007382285, 52.549648746070396),
+                    (52.549648746070396, 52.549648746070396)])),
+    "sparse60": (generate(GraphSpec(kind="sparse", n=60, seed=5, target_edges=150,
+                                    weight_range=(1.0, 100.0), integer_weights=True)),
+                 (112.0, 2, (27, 54), [0, 54, 27, 38], 2, 6, 6, [(107.0, 113.0), (112.0, 112.0)])),
+}
+P1_PINNED = {
+    "complete12": (42.857290429846195, 11, (8, 4), [4, 8, 6], 2, 5, 5,  # walk_start 4
+                   [(30.375694222095316, 50.65316551844123),
+                    (42.857290429846195, 42.857290429846195)]),
+    "sparse60": (112.0, 2, (54, 27), [27, 54, 51, 38], 3, 7, 7,  # walk_start 27
+                 [(107.0, 123.0), (107.0, 113.0), (112.0, 112.0)]),
+}
 
 
-@pytest.mark.parametrize("case", PINNED, ids=["n1", "n2", "zero", "complete12", "complete8", "sparse60"])
+@pytest.mark.parametrize("name", list(PINNED))
 @pytest.mark.parametrize("mode", ["p1", "p2"])
-def test_pinned_results(case, mode):
-    g, radius, center, far, pivots, examined, sssp_count, rows, trace = case
+def test_pinned_results(name, mode):
+    g, pinned = PINNED[name]
+    assert (name in P1_PINNED) == (g.walk_start != 0)
     if mode == "p1":
         provider = DistanceProvider.on_demand(g)
-    else:
+        pinned = P1_PINNED.get(name, pinned)
+    radius, center, far, pivots, examined, sssp_count, rows, trace = pinned
+    if mode == "p2":
         provider, sssp_count = DistanceProvider.from_matrix(apsp_repeated_sssp(g)), 0
     rr = find_radius(provider)
     assert rr == RadiusResult(
