@@ -118,20 +118,11 @@ def diameter_p1(
     bounds each vertex k from above by ub[k] = min over held x of
     d(x, k) + ecc(x) (Takes & Kosters, Algorithms 2013). A vertex whose row
     is not held and whose ub cannot beat the bound is passed over without
-    an SSSP: its row could not raise the bound. g is not read.
-
-    A sum row + ecc that overflows is inf, which only weakens a bound. Only
-    a graph whose sums may overflow (sums_fit false) runs the search under
-    np.errstate(over="ignore"), so that numpy warns of none.
+    an SSSP: its row could not raise the bound. g is not read. No sum
+    row + ecc overflows on a graph that passed the weight rules of
+    from_arcs and generate, which keep 4 * n * w_max finite
+    (graph._edge_weights).
     """
-    if provider.graph.sums_fit:
-        return _diameter_p1(rr, provider)
-    with np.errstate(over="ignore"):
-        return _diameter_p1(rr, provider)
-
-
-def _diameter_p1(rr: RadiusResult, provider: DistanceProvider) -> DiameterResult:
-    """diameter_p1's search, under whatever numpy error state the caller set."""
     n = provider.n
     center_row = provider.row(rr.center)
     ids = build_candidate_order(center_row)

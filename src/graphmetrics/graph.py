@@ -96,17 +96,6 @@ class Graph:
         return bool((self.indptr[1:] > self.indptr[:-1]).all())
 
     @cached_property
-    def sums_fit(self) -> bool:
-        """True iff 4 * n * w_max is finite; found once per graph.
-
-        Then no sum a search forms can overflow, with a factor of 2 to
-        spare: a label plus an arc in sssp is at most n * w_max (a label is
-        a path of at most n - 1 arcs), and row + ecc in the on-demand
-        diameter search at most 2 * (n - 1) * w_max.
-        """
-        return math.isfinite(4 * self.n * float(self.weights.max(initial=0.0)))
-
-    @cached_property
     def walk_start(self) -> int:
         """The vertex whose lightest arc is the heaviest (smallest id on
         ties); found once per graph.
@@ -193,8 +182,15 @@ def _complete(n: int, w: np.ndarray) -> Graph:
 
 def _edge_weights(n: int, w) -> np.ndarray:
     """Edge weights as float64 with -0.0 stored as +0.0, once they pass the
-    rules of every graph: finite, non-negative, and no shortest path (at
-    most n - 1 edges) can overflow."""
+    rules of every graph: finite, non-negative, and 4 * n * w_max finite.
+
+    The last rule means no sum a search forms can overflow, with a factor of
+    2 to spare: a label plus an arc in sssp is at most n * w_max (a label is
+    a path of at most n - 1 arcs), and a sum of two distances (row + ecc in
+    the on-demand diameter search, D[i, k] + D[k, j] in Floyd-Warshall) at
+    most 2 * (n - 1) * w_max. It is checked on the input weights, before
+    self-loops and parallel arcs are dropped.
+    """
     w = np.asarray(w, dtype=np.float64)
     if w.size:
         if not np.isfinite(w).all():
@@ -202,9 +198,10 @@ def _edge_weights(n: int, w) -> np.ndarray:
         if w.min() < 0:
             raise GraphValidationError("negative edge weight")
         w_max = float(w.max())
-        if not math.isfinite(w_max * (n - 1)):  # the most edges a shortest path has
+        if not math.isfinite(4 * n * w_max):
             raise GraphValidationError(
-                f"edge weight {w_max} too large: a path of {n - 1} edges could overflow"
+                f"edge weight {w_max} too large: the searches need"
+                f" 4 * n * w_max finite (n={n})"
             )
     return w + 0.0  # + 0.0 turns -0.0 into +0.0
 

@@ -86,21 +86,10 @@ def sssp(g: Graph, source: int) -> np.ndarray:
     relaxation rounds over the whole CSR; when the rounds thin out, a binary
     heap (lazy deletion) finishes it arc by arc, reading g's CSR arrays
     through memoryviews, so nothing is copied or kept between calls. All
-    paths produce the same distances bit for bit.
-
-    A sum d[u] + w that overflows is inf, which never beats a finite label.
-    Only a graph whose sums may overflow (g.sums_fit false) runs the kernel
-    under np.errstate(over="ignore"), so that numpy warns of none; entering
-    it costs about 2 us, which every other graph is spared.
+    paths produce the same distances bit for bit. No sum d[u] + w
+    overflows on a graph that passed the weight rules of from_arcs and
+    generate, which keep 4 * n * w_max finite (graph._edge_weights).
     """
-    if g.sums_fit:
-        return _sssp(g, source)
-    with np.errstate(over="ignore"):
-        return _sssp(g, source)
-
-
-def _sssp(g: Graph, source: int) -> np.ndarray:
-    """sssp's kernel, under whatever numpy error state the caller set."""
     if g.average_degree >= SPARSE_DEGREE_CUT:
         return sssp_vectorized(g, source)
     n = g.n

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,17 @@ def build_graph(n, edges):
         np.asarray(v, dtype=np.int64),
         np.asarray(w, dtype=np.float64),
     )
+
+
+def weight_limit(n):
+    """The largest float w with 4 * n * w finite: the largest edge weight a
+    graph of n vertices may hold."""
+    w = sys.float_info.max / (4 * n)
+    while math.isfinite(4 * n * math.nextafter(w, math.inf)):
+        w = math.nextafter(w, math.inf)
+    while not math.isfinite(4 * n * w):
+        w = math.nextafter(w, 0.0)
+    return w
 
 
 @pytest.fixture

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from graphmetrics import cli as cli_module
 from graphmetrics.cli import main, parse_gen_spec
-from graphmetrics.graph import GraphValidationError, load_dimacs
+from graphmetrics.graph import GraphValidationError, load_dimacs, write_dimacs
 from graphmetrics.oracle import choose_baseline
 from graphmetrics.radius import find_radius
 from graphmetrics.report import CSV_COLUMNS
+
+from conftest import build_graph, weight_limit
 
 PATH_FIXTURE = (
     "p sp 4 6\n"
@@ -207,23 +209,40 @@ class TestMetricsCommand:
         assert main(["metrics", "--gen", "complete:50:seed=0:wlo=0:whi=1e308:int=0"]) == 2
         assert capsys.readouterr().err == (
             "error: edge weight 9.995013522570268e+307 too large: "
-            "a path of 49 edges could overflow\n"
+            "the searches need 4 * n * w_max finite (n=50)\n"
         )
 
-    @pytest.mark.parametrize("mode", ["p1", "p2"])
-    def test_p2_path_sum_above_float_max_is_silent(self, tmp_path, mode):
-        # Accepted, since w_max * (n - 1) is finite, but the path 2-1-3 sums to
-        # 1.6e308, so Floyd-Warshall's candidate 2 -> 3 overflows to inf, and
-        # so do sssp's round sums and D1's held-row bound row + ecc.
+    def test_weight_above_the_sum_limit_is_refused(self, tmp_path, capsys):
+        # The path 2-1-3 sums to 1.6e308, which is finite, but 4 * n * 8e307
+        # is not: some sum a search forms could overflow.
         p = tmp_path / "big.gr"
         p.write_text("p sp 3 2\na 1 2 8e307\na 1 3 8e307\n")
+        refusal = "edge weight 8e+307 too large: the searches need 4 * n * w_max finite (n=3)"
+        for argv in (["metrics", "--mode", "p1"], ["metrics", "--mode", "p2"], ["oracle"]):
+            assert main(argv + ["--input", str(p)]) == 2
+            assert capsys.readouterr() == ("", f"error: {refusal}\n")
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--input", str(p), "--csv", str(out)]) == 0
+        with open(out, newline="") as fh:
+            assert [row["errors"] for row in csv.DictReader(fh)] == [refusal]
+
+    @pytest.mark.parametrize("mode", ["p1", "p2"])
+    def test_largest_accepted_weight_is_silent(self, tmp_path, mode):
+        w = weight_limit(3)
+        p = tmp_path / "big.gr"
+        write_dimacs(build_graph(3, [(0, 1, w), (0, 2, w)]), p)
         if mode == "p2":
             assert choose_baseline(load_dimacs(p)) == "floyd"
-        done = subprocess.run(
-            [sys.executable, "-m", "graphmetrics", "metrics", "--input", str(p), "--mode", mode],
-            env=src_env(), capture_output=True, text=True, timeout=120)
-        assert (done.returncode, done.stderr) == (0, "")  # no numpy RuntimeWarning
-        assert "diameter=1.6e+308" in done.stdout
+        diameters = []
+        for argv in (["metrics", "--mode", mode], ["oracle"]):
+            report = tmp_path / "report.json"
+            done = subprocess.run(
+                [sys.executable, "-m", "graphmetrics", *argv, "--input", str(p),
+                 "--json", str(report)],
+                env=src_env(), capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, "")  # no numpy RuntimeWarning
+            diameters += [r["diameter"] for r in json.loads(report.read_text()) if "diameter" in r]
+        assert diameters == [2 * w, 2 * w]
 
     def test_arc_count_mismatch_is_named(self, tmp_path, capsys):
         p = tmp_path / "short.gr"

@@ -4,26 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphmetrics
-import graphmetrics.diameter as diameter_module
-import graphmetrics.sssp as sssp_module
 from graphmetrics.diameter import (
     build_candidate_order,
     diameter_p1,
     diameter_p2,
     find_diameter,
 )
-from graphmetrics.graph import GraphSpec, generate
+from graphmetrics.graph import GraphSpec, GraphValidationError, from_arcs, generate
 from graphmetrics.oracle import (
     apsp_repeated_sssp,
     dijkstra_matrix,
+    floyd_warshall,
     scan_diameter,
     scan_metrics,
-    scan_radius,
 )
 from graphmetrics.radius import find_radius
-from graphmetrics.sssp import DistanceProvider, sssp
+from graphmetrics.sssp import SPARSE_DEGREE_CUT, DistanceProvider, sssp, sssp_vectorized
 
-from conftest import build_graph
+from conftest import build_graph, weight_limit
 from test_radius import PINNED, seeded_cases
 
 
@@ -354,23 +352,51 @@ class TestFindDiameter:
             assert name not in graphmetrics.__all__ and not hasattr(graphmetrics, name)
 
 
-def test_sums_above_float_max_are_silent_in_process():
-    # Accepted, since w_max * (n - 1) is finite, but 1.6e308 + 8e307 is not:
-    # sssp's round sums and D1's held-row bound row + ecc overflow to inf.
-    # Tier-1 turns a RuntimeWarning into an error, so each call below would
-    # fail if it warned.
-    g = build_graph(3, [(0, 1, 8e307), (0, 2, 8e307)])
-    assert not g.sums_fit
-    rows = [sssp(g, s).tolist() for s in range(g.n)]
-    assert rows == [[0.0, 8e307, 8e307], [8e307, 0.0, 1.6e308], [8e307, 1.6e308, 0.0]]
-    M = dijkstra_matrix(g)
-    provider = DistanceProvider.on_demand(g)
-    rr = find_radius(provider)
-    dr = find_diameter(rr, provider)
-    assert (rr.radius, rr.center) == scan_radius(M)
-    assert (dr.diameter, tuple(sorted(dr.peripheral_pair))) == scan_diameter(M)
-    # Without the error state both kernels would warn on this graph.
-    with pytest.raises(RuntimeWarning, match="overflow"):
-        sssp_module._sssp(g, 1)
-    with pytest.raises(RuntimeWarning, match="overflow"):
-        diameter_module._diameter_p1(rr, provider)
+@st.composite
+def graphs_at_the_weight_limit(draw):
+    """(n, u, v, w): a path, a star or a sparse graph below the degree cut on
+    2 to 50 vertices, or one complete:70 above it, with weights in
+    [0, weight_limit(n)]; in some draws every edge weighs the limit."""
+    kind = draw(st.sampled_from(["path", "star", "sparse", "complete"]))
+    n = 70 if kind == "complete" else draw(st.sampled_from([2, 3, 5, 50]) | st.integers(2, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if kind == "path":
+        u, v = np.arange(n - 1), np.arange(1, n)
+    elif kind == "star":
+        u, v = np.zeros(n - 1, dtype=np.int64), np.arange(1, n)
+    elif kind == "sparse":  # a random tree plus a few extra edges: degree below the cut
+        v = np.arange(1, n)
+        u = np.array([rng.integers(0, x) for x in v.tolist()], dtype=np.int64)
+        extra = rng.integers(0, n, size=(2, n))
+        u, v = np.concatenate([u, extra[0]]), np.concatenate([v, extra[1]])
+    else:
+        u, v = np.triu_indices(n, 1)
+    w_lim = weight_limit(n)
+    if draw(st.booleans()):
+        w = np.full(u.size, w_lim)
+    else:
+        w = rng.uniform(0.0, w_lim, size=u.size)
+        w[rng.random(u.size) < 0.5] = w_lim
+    return n, u, v, w
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_at_the_weight_limit())
+def test_sums_at_the_weight_limit_stay_finite(case):
+    # Tier-1 turns a RuntimeWarning into an error, so an overflowing sum in
+    # any kernel or search below fails the test.
+    n, u, v, w = case
+    g = from_arcs(n, u, v, w)
+    assert (g.average_degree >= SPARSE_DEGREE_CUT) == (n == 70)
+    for s in range(n):
+        assert sssp(g, s).tobytes() == sssp_vectorized(g, s).tobytes()
+    providers = [DistanceProvider.on_demand(g)] + [
+        DistanceProvider.from_matrix(build(g)) for build in (dijkstra_matrix, floyd_warshall)]
+    for provider in providers:
+        rr = find_radius(provider)
+        dr = find_diameter(rr, provider)
+        assert np.isfinite([rr.radius, dr.diameter]).all()
+    above = w.copy()
+    above[0] = np.nextafter(weight_limit(n), np.inf)
+    with pytest.raises(GraphValidationError, match="need 4 \\* n \\* w_max finite"):
+        from_arcs(n, u, v, above)

@@ -1,6 +1,5 @@
 import dataclasses
-import math
-import sys
+import re
 from collections import deque
 from unittest import mock
 
@@ -10,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphmetrics import graph as graph_module
-from graphmetrics.cli import parse_gen_spec
 from graphmetrics.graph import (
     DimacsParseError,
     Graph,
@@ -25,7 +23,7 @@ from graphmetrics.graph import (
 from graphmetrics.oracle import floyd_warshall
 from graphmetrics.sssp import DisconnectedGraphError, sssp
 
-from conftest import build_graph
+from conftest import build_graph, weight_limit
 from test_cli import corrupt_dimacs
 
 
@@ -233,13 +231,15 @@ def dimacs_files(draw):
 
 
 # Plain files that only from_arcs refuses: an id of 0, weights whose path
-# sum (2 edges of 1e308) overflows, no vertex, and an n whose arc key
-# u * n + v cannot be an int64.
+# sum (2 edges of 1e308) overflows, no vertex, an n whose arc key
+# u * n + v cannot be an int64, and weights whose path sums fit (2 edges of
+# 8e307) but 4 * n * w_max does not.
 ARC_RULE_FILES = [
     "p sp 3 2\na 0 2 1\na 2 3 1\n",
     "p sp 3 2\na 1 2 1e308\na 2 3 1e308\n",
     "p sp 0 1\na 1 1 1\n",
     "p sp 100000000000000000000 1\na 1 2 1\n",
+    "p sp 3 2\na 1 2 8e307\na 1 3 8e307\n",
 ]
 
 
@@ -250,13 +250,15 @@ ARC_RULE_FILES = [
 @example(data=ARC_RULE_FILES[1].encode())
 @example(data=ARC_RULE_FILES[2].encode())
 @example(data=ARC_RULE_FILES[3].encode())
+@example(data=ARC_RULE_FILES[4].encode())
 def test_bulk_reader_agrees_with_line_reader(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("agree") / "g.gr"
     path.write_bytes(data)
     assert outcome(load_dimacs, path) == outcome(read_lines, path)
 
 
-@pytest.mark.parametrize("text", ARC_RULE_FILES, ids=["id-0", "path-sum", "n-0", "n-too-large"])
+@pytest.mark.parametrize(
+    "text", ARC_RULE_FILES, ids=["id-0", "path-sum", "n-0", "n-too-large", "search-sum"])
 def test_bulk_reader_leaves_arc_rules_to_from_arcs(text, monkeypatch):
     calls = []
 
@@ -352,8 +354,11 @@ class TestFromArcs:
     def test_weights_whose_path_sum_overflows_rejected(self):
         with pytest.raises(GraphValidationError, match="too large"):
             build_graph(3, [(0, 1, 1e308), (1, 2, 1e308)])
-        # n - 1 edges of the largest weight still sum to a finite distance
-        assert build_graph(3, [(0, 1, 8e307), (1, 2, 8e307)]).m == 2
+        # a path of n - 1 such edges sums to 1.6e308, but 4 * n * 8e307 is inf
+        with pytest.raises(GraphValidationError, match=re.escape(
+                "edge weight 8e+307 too large: the searches need 4 * n * w_max finite (n=3)")):
+            build_graph(3, [(0, 1, 8e307), (1, 2, 8e307)])
+        assert build_graph(3, [(0, 1, weight_limit(3)), (1, 2, weight_limit(3))]).m == 2
 
     # Sizes whose arc key u * n + v overflows int64; each is refused before
     # any array is allocated (an indptr of n + 1 entries would not fit).
@@ -371,31 +376,6 @@ class TestFromArcs:
         assert path4.every_vertex_has_arc
         assert not build_graph(3, [(0, 1, 1.0)]).every_vertex_has_arc
         assert not build_graph(1, []).every_vertex_has_arc
-
-    @pytest.mark.parametrize("spec", [  # the benchmark workloads' graph patterns
-        "sparse:100:300:seed=0:wlo=1:whi=100:int=1",
-        "complete:50:seed=0:wlo=0:whi=100:int=0",
-        "complete:120:seed=0:wlo=0:whi=100:int=0",
-    ])
-    def test_workload_sums_fit(self, spec):
-        assert generate(parse_gen_spec(spec)).sums_fit
-
-    def test_sums_fit(self):
-        assert build_graph(1, []).sums_fit
-        # accepted (8e307 * (n - 1) is finite), but 8e307 * 4 * n is not
-        assert not build_graph(3, [(0, 1, 8e307), (0, 2, 8e307)]).sums_fit
-
-    def test_sums_fit_boundary(self):
-        n = 3
-        w = sys.float_info.max / (4 * n)
-        while math.isfinite(4 * n * math.nextafter(w, math.inf)):
-            w = math.nextafter(w, math.inf)
-        while not math.isfinite(4 * n * w):
-            w = math.nextafter(w, 0.0)
-        # w is the largest weight with 4 * n * w finite
-        assert build_graph(n, [(0, 1, w), (1, 2, 1.0)]).sums_fit
-        above = math.nextafter(w, math.inf)
-        assert not build_graph(n, [(0, 1, above), (1, 2, 1.0)]).sums_fit
 
     def test_walk_start_one_vertex(self):
         assert build_graph(1, []).walk_start == 0
@@ -573,7 +553,7 @@ class TestCompleteBuild:
 
     def test_weight_rules_are_from_arcs_rules(self):
         for w, match in (([1.0, np.nan, 1.0], "non-finite"), ([1.0, -1.0, 1.0], "negative"),
-                         ([1e308, 1.0, 1.0], "a path of 2 edges could overflow")):
+                         ([1e308, 1.0, 1.0], re.escape("need 4 * n * w_max finite (n=3)"))):
             with pytest.raises(GraphValidationError, match=match):
                 graph_module._complete(3, np.array(w))
             with pytest.raises(GraphValidationError, match=match):
