@@ -17,6 +17,7 @@ from graphmetrics.oracle import (
     floyd_warshall,
     scan_diameter,
     scan_metrics,
+    scan_radius,
 )
 from graphmetrics.radius import find_radius
 from graphmetrics.sssp import SPARSE_DEGREE_CUT, DistanceProvider, sssp, sssp_vectorized
@@ -350,6 +351,25 @@ class TestFindDiameter:
         assert {"find_radius", "find_diameter"} <= set(graphmetrics.__all__)
         for name in ("diameter_p1", "diameter_p2"):
             assert name not in graphmetrics.__all__ and not hasattr(graphmetrics, name)
+
+
+def test_sums_above_float_max_are_silent_in_process():
+    # 1.6e308 + 8e307 is not finite, so the graph whose sums would pass
+    # float max is refused at input rather than searched.
+    with pytest.raises(GraphValidationError, match="need 4 \\* n \\* w_max finite"):
+        build_graph(3, [(0, 1, 8e307), (0, 2, 8e307)])
+    # At the largest accepted weight every sum stays finite. Tier-1 turns a
+    # RuntimeWarning into an error, so each call below would fail if it warned.
+    w = weight_limit(3)
+    g = build_graph(3, [(0, 1, w), (0, 2, w)])
+    rows = [sssp(g, s).tolist() for s in range(g.n)]
+    assert rows == [[0.0, w, w], [w, 0.0, 2 * w], [w, 2 * w, 0.0]]
+    M = dijkstra_matrix(g)
+    provider = DistanceProvider.on_demand(g)
+    rr = find_radius(provider)
+    dr = find_diameter(rr, provider)
+    assert (rr.radius, rr.center) == scan_radius(M)
+    assert (dr.diameter, tuple(sorted(dr.peripheral_pair))) == scan_diameter(M)
 
 
 @st.composite

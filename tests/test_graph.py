@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 from collections import deque
 from unittest import mock
@@ -371,6 +372,23 @@ class TestFromArcs:
     def test_n_whose_arc_key_overflows_rejected(self, n, arcs):
         with pytest.raises(GraphValidationError, match=f"^graph refused: n={n} is too large"):
             build_graph(n, [(u, v, 1.0) for u, v in arcs])
+
+    def test_sums_fit(self):
+        # The rule Graph.sums_fit reported is now checked at input.
+        assert build_graph(1, []).n == 1
+        # a path of n - 1 such edges is finite, but 8e307 * 4 * n is not
+        with pytest.raises(GraphValidationError, match="too large"):
+            build_graph(3, [(0, 1, 8e307), (0, 2, 8e307)])
+
+    def test_sums_fit_boundary(self):
+        n = 3
+        w = weight_limit(n)  # the largest weight with 4 * n * w finite
+        assert math.isfinite(4 * n * w)
+        assert build_graph(n, [(0, 1, w), (1, 2, 1.0)]).m == 2
+        above = math.nextafter(w, math.inf)
+        assert not math.isfinite(4 * n * above)
+        with pytest.raises(GraphValidationError, match="too large"):
+            build_graph(n, [(0, 1, above), (1, 2, 1.0)])
 
     def test_every_vertex_has_arc(self, path4):
         assert path4.every_vertex_has_arc
