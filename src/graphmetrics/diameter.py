@@ -8,20 +8,24 @@ center cannot rule out. The matrix-backed variant scans every vertex
 farther than half the bound from the center. The on-demand variant visits
 vertices in descending center distance (iFUB order) and stops at the first
 position where the two largest remaining center distances sum to no more
-than the bound. It also bounds every vertex from above by the rows it
-already holds, ecc(k) <= d(x, k) + ecc(x) for each held row x, and passes
-over a vertex without an SSSP where that bound cannot beat the current
-lower bound. One or two vertices need no special case: (p1, p2) is then the
-only pair, and neither scan finds a distance that beats it.
+than the bound. It first settles every row the provider already holds:
+their maxima raise the bound, and those rows are not read again. Then every
+held row x bounds each pair of vertices not yet settled, d(k, l) <= d(x, k)
++ d(x, l) (Takes & Kosters, Algorithms 2013), and a visited vertex whose
+pairs the held rows all bound by the current lower bound is passed over
+without an SSSP: through ecc(k) <= d(x, k) + ecc(x) first, then through the
+pair bound over the vertices still unsettled. One or two vertices need no
+special case: (p1, p2) is then the only pair, and neither scan finds a
+distance that beats it.
 
 Both report the peripheral pair (k, l) with the distance d(k, l) read from
 row k. With float weights the same shortest path summed from l can differ by
 one ulp, so an all-pairs oracle whose maximum takes the pair from the other
 end may differ from the reported diameter in the last bit. Integer weights
-sum exactly, and the two agree. For the same reason the held-row bound is
-exact with integer weights; with float weights it can, like the center-sum
-stop, pass over a pair that beats the lower bound only by summation-order
-ulps.
+sum exactly, and the two agree. For the same reason the held-row bounds are
+exact with integer weights; with float weights they can, like the
+center-sum stop, pass over a pair that beats the lower bound only by
+summation-order ulps.
 
 find_diameter runs the variant the provider's backing picks. Neither reads
 its first argument: it stays so that the benchmark worker's calls keep
@@ -44,7 +48,9 @@ class DiameterResult:
     peripheral_pair: tuple[int, int]
     d_lower_trace: list[float]
     vertices_scanned: int
-    vertices_bounded: int  # passed over by the held-row bound, without an SSSP
+    # D1: vertices passed over without an SSSP by either held-row bound; the
+    # rows held at D1's start are settled, not re-read, and counted in neither
+    vertices_bounded: int
     pairs_checked: int
     sssp_count: int
     rows_accessed: int
@@ -107,56 +113,93 @@ def diameter_p1(
     """On-demand diameter search (Problem 1).
 
     The lower bound starts at d(p1, p2) for the radius search's far pair
-    (p1, p2) = rr.far_pair. Vertices are visited in descending distance
-    from the center, as in iFUB (Crescenzi et al., TCS 2013). Each visited
-    vertex's whole row is read once and its maximum raises the bound, which
-    settles every pair that vertex is in. Any two vertices not yet visited
-    are at most sd[i] + sd[i + 1] apart (triangle inequality through the
-    center), so the scan stops at the first position where that sum cannot
-    beat the bound.
-    Every row the provider holds, from the radius search or from this scan,
-    bounds each vertex k from above by ub[k] = min over held x of
-    d(x, k) + ecc(x) (Takes & Kosters, Algorithms 2013). A vertex whose row
-    is not held and whose ub cannot beat the bound is passed over without
-    an SSSP: its row could not raise the bound. g is not read. No sum
-    row + ecc overflows on a graph that passed the weight rules of
-    from_arcs and generate, which keep 4 * n * w_max finite
-    (graph._edge_weights).
+    (p1, p2) = rr.far_pair. R is the set of vertices not yet settled, where
+    a vertex is settled once every pair it is in is known to be at most the
+    bound or has raised it.
+    - Every row the provider holds at the start settles its vertex: the
+      bound rises to the largest of their maxima, taking the pair from that
+      row only when it beats d(p1, p2), and those rows are not read again.
+    - The other vertices are visited in descending distance from the
+      center, as in iFUB (Crescenzi et al., TCS 2013). Any two vertices not
+      yet visited are at most sd[i] + sd[i + 1] apart (triangle inequality
+      through the center), so the scan stops at the first position where
+      that sum cannot beat the bound.
+    - A visited vertex k leaves R without an SSSP when either bound below,
+      taken over the held rows x (those held at the start and those this
+      scan has read; Takes & Kosters, Algorithms 2013), is at most the
+      bound. Otherwise its row is read, its maximum raises the bound, and
+      the row joins the held rows.
+      - ub[k] = min over x of d(x, k) + ecc(x) bounds ecc(k).
+      - The pair bound, min over x of d(x, k) + max{d(x, l) : l in R,
+        l != k}, bounds d(k, l) for every l in R, and is at most ub[k].
+    Why the pair bound is enough: k is the first vertex of R in iFUB order,
+    so R without k is what stays unsettled once k leaves. A pair whose other
+    end has left R is settled already: by that end's row maximum, or by the
+    bound that passed over that end while k was still in R. R only shrinks
+    and the bound only rises, so a pair bounded once stays bounded.
+
+    g is not read. No sum of two distances overflows on a graph that passed
+    the weight rules of from_arcs and generate, which keep 4 * n * w_max
+    finite (graph._edge_weights).
+
+    The rows held at the start are copied once into one array, whose
+    columns of vertices out of R are set to -inf, so a pair test over them
+    is one argmax. A row read here is not copied: its farthest vertex in R
+    is kept, and found again, in a temporary of one row, at the first pair
+    test after that vertex has left R.
     """
     n = provider.n
     center_row = provider.row(rr.center)
     ids = build_candidate_order(center_row)
     order, sd = ids.tolist(), center_row[ids].tolist()
-
-    # (ecc, farthest vertex) of each held row, each maximum taken once
-    far: dict[int, tuple[float, int]] = {}
-    ub = np.full(n, np.inf)
-
-    def hold(x: int, row: np.ndarray) -> None:
-        far[x] = eccentricity(row)
-        np.minimum(ub, row + far[x][0], out=ub)
-
-    for x, row in provider.held_rows().items():
-        hold(x, row)
-
     p1, p2 = pair = rr.far_pair
     d_l = float(provider.row(p1)[p2])
     trace = [d_l]
+
+    held = provider.held_rows()
+    sources = list(held)
+    block = np.array(list(held.values()))  # block[j, l] = d(sources[j], l)
+    at = np.arange(len(sources))
+    top = block.argmax(axis=1)  # the smallest id of each row's maximum
+    ecc = block[at, top]
+    j = int(ecc.argmax())  # the first row holding the largest maximum
+    if ecc[j] > d_l:
+        d_l = float(ecc[j])
+        pair = (sources[j], int(top[j]))
+        trace.append(d_l)
+    in_r = np.ones(n, dtype=bool)
+    in_r[sources] = False
+    block[:, sources] = -np.inf
+    own: list[list] = []  # per row read here: [row, ecc, l in R farthest from it, d]
+
     pairs_checked = scanned = bounded = 0
     for i in range(n - 1):
         pairs_checked += 1
         if sd[i] + sd[i + 1] <= d_l:
             break
         k = order[i]
-        if k in far:
-            provider.row(k)  # held: a read without an SSSP
-        elif ub[k] <= d_l:
-            bounded += 1
+        if not in_r[k]:  # held at the start: settled
             continue
-        else:
-            hold(k, provider.row(k))
+        in_r[k] = False
+        d_k = block[:, k].copy()
+        block[:, k] = -np.inf
+        if min((d_k + ecc).tolist() + [row[k] + e for row, e, _, _ in own]) <= d_l:
+            bounded += 1  # ub[k]
+            continue
+        for entry in own:
+            row, _, l, _ = entry
+            if not in_r[l]:
+                rest = np.where(in_r, row, -np.inf)
+                l = int(rest.argmax())
+                entry[2:] = l, rest[l]
+        far = block[at, block.argmax(axis=1)]  # max over R per row; -inf once R is empty
+        if min((d_k + far).tolist() + [row[k] + d for row, _, _, d in own]) <= d_l:
+            bounded += 1  # the pair bound
+            continue
+        row = provider.row(k)
         scanned += 1
-        v, l = far[k]
+        v, l = eccentricity(row)
+        own.append([row, v, k, 0.0])  # k is out of R: found at the next pair test
         if v > d_l:
             d_l = v
             pair = (k, l)

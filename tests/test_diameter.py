@@ -141,26 +141,32 @@ def held_upper_bound(provider):
     return (rows + rows.max(axis=1, keepdims=True)).min(axis=0)
 
 
-def ifub_scan(g):
-    """D1 without the held-row bound, on a fresh provider: every visited
-    vertex's row is read. (diameter, pair, trace, pairs checked, visited)."""
+def todays_rule(g):
+    """D1 before the pair bound, on a fresh provider: iFUB order, the center
+    stop and ub[k] = min over held x of d(x, k) + ecc(x) alone, with every
+    held row read again when its vertex is visited.
+    (diameter, SSSPs this D1 ran)."""
     provider = DistanceProvider.on_demand(g)
     rr = find_radius(provider)
+    before = provider.sssp_count
     center_row = provider.row(rr.center)
     ids = build_candidate_order(center_row)
     sd = center_row[ids]
+    held = dict(provider.held_rows())
+    ub = np.min([row + row.max() for row in held.values()], axis=0)
     p1, p2 = rr.far_pair
-    d_l, pair = float(provider.row(p1)[p2]), (p1, p2)
-    trace = [d_l]
+    d_l = float(provider.row(p1)[p2])
     for i in range(g.n - 1):
         if sd[i] + sd[i + 1] <= d_l:
-            return d_l, pair, trace, i + 1, i
-        row = provider.row(int(ids[i]))
-        l = int(row.argmax())
-        if row[l] > d_l:
-            d_l, pair = float(row[l]), (int(ids[i]), l)
-            trace.append(d_l)
-    return d_l, pair, trace, g.n - 1, g.n - 1
+            break
+        k = int(ids[i])
+        if k not in held:
+            if ub[k] <= d_l:
+                continue
+            held[k] = provider.row(k)
+            ub = np.minimum(ub, held[k] + held[k].max())
+        d_l = max(d_l, float(held[k].max()))
+    return d_l, provider.sssp_count - before
 
 
 class TestHeldRowBound:
@@ -184,6 +190,8 @@ class TestHeldRowBound:
         whi=st.sampled_from([0, 1, 3, 100]),
     )
     def test_sound_with_integer_weights(self, seed, kind, n, extra, whi):
+        """The held-row bounds pass over no pair that beats the bound, and
+        they never cost an SSSP that ub alone would not."""
         g = generate(GraphSpec(
             kind=kind, n=n, seed=seed, weight_range=(0.0, float(whi)), integer_weights=True,
             target_edges=n - 1 + int(extra * n) if kind == "sparse" else None,
@@ -196,18 +204,20 @@ class TestHeldRowBound:
         dr = diameter_p1(g, rr, p)
         assert (held_upper_bound(p) >= ecc).all()
         assert dr.diameter == scan_metrics(M).diameter == M.values[dr.peripheral_pair]
+        assert dr.d_lower_trace[0] == M.values[rr.far_pair]
+        assert dr.d_lower_trace == sorted(dr.d_lower_trace)
+        assert dr.d_lower_trace[-1] == dr.diameter
         assert dr.vertices_scanned + dr.vertices_bounded <= dr.pairs_checked
-        # A passed-over row could not have raised the bound: the scan is unchanged.
-        d_l, pair, trace, pairs_checked, visited = ifub_scan(g)
-        assert (dr.diameter, dr.peripheral_pair, dr.d_lower_trace) == (d_l, pair, trace)
-        assert dr.pairs_checked == pairs_checked
-        assert dr.vertices_scanned + dr.vertices_bounded == visited
+        # Held rows are not read again: every row D1 reads runs an SSSP.
         assert dr.rows_accessed - rr.rows_accessed == 2 + dr.vertices_scanned
+        assert dr.sssp_count - rr.sssp_count == dr.vertices_scanned
+        assert dr.vertices_scanned <= todays_rule(g)[1]
 
-    def test_same_scan_as_without_the_bound(self):
-        """Over many graphs the bound passes over vertices, and the scan's
-        answer, trace and pairs checked stay those of the plain iFUB scan."""
-        bounded = 0
+    def test_fewer_sssps_than_todays_rule(self):
+        """Over many graphs the bounds pass over vertices; D1 finds the
+        diameter today's rule finds, never with more SSSPs, and with fewer
+        on some graphs."""
+        bounded = fewer = 0
         for seed in range(400):
             n = 10 + seed % 60
             g = generate(GraphSpec(
@@ -216,24 +226,44 @@ class TestHeldRowBound:
                 target_edges=2 * n,
             ))
             p = DistanceProvider.on_demand(g)
-            dr = diameter_p1(g, find_radius(p), p)
-            d_l, pair, trace, pairs_checked, visited = ifub_scan(g)
-            assert (dr.diameter, dr.peripheral_pair, dr.d_lower_trace) == (d_l, pair, trace), seed
-            assert (dr.pairs_checked, dr.vertices_scanned + dr.vertices_bounded) == (
-                pairs_checked, visited)
+            rr = find_radius(p)
+            dr = diameter_p1(g, rr, p)
+            d_l, sssps = todays_rule(g)
+            assert dr.diameter == d_l, seed
+            assert dr.sssp_count - rr.sssp_count <= sssps, seed
+            fewer += dr.sssp_count - rr.sssp_count < sssps
             bounded += dr.vertices_bounded
-        assert bounded > 100
+        assert bounded > 100 and fewer > 10
+
+    def test_pair_bound_passes_over_what_ub_cannot(self):
+        """The held rows 3, 0 and 2 raise the bound to 9, and vertex 4 is
+        visited next, with vertex 1 the only other one unsettled. ub[4] =
+        d(0, 4) + ecc(0) = 10 cannot pass 4 over, but d(0, 4) + d(0, 1) = 6
+        bounds the one pair 4 is still in. So D1 runs no SSSP, where ub alone
+        runs one."""
+        g = build_graph(5, [(0, 1, 5.0), (0, 4, 1.0), (1, 2, 1.0), (1, 4, 8.0),
+                            (2, 3, 7.0), (3, 4, 8.0)])
+        p = DistanceProvider.on_demand(g)
+        rr = find_radius(p)
+        rows = p.held_rows()
+        assert list(rows) == [3, 0, 2] and rr.center == 2
+        assert min(rows[x][4] + rows[x].max() for x in rows) == 10.0
+        assert min(rows[x][4] + rows[x][1] for x in rows) == 6.0
+        dr = diameter_p1(g, rr, p)
+        assert (dr.diameter, dr.vertices_scanned, dr.vertices_bounded) == (9.0, 0, 1)
+        assert dr.sssp_count == rr.sssp_count
+        assert todays_rule(g)[1] == 1
 
     def test_float_pair_is_read_from_row_k(self):
-        """With float weights D1 reports d(k, l) as row k holds it. Here the
-        bound passes over one vertex, and the oracle's maximum, d(l, k) read
-        from row l, is one ulp larger."""
-        g = generate(GraphSpec(kind="complete", n=12, seed=502))
+        """With float weights D1 reports d(k, l) as row k holds it. Here D1
+        passes over one vertex and reads one row, and the oracle's maximum,
+        d(l, k) read from row l, is one ulp larger."""
+        g = generate(GraphSpec(kind="complete", n=12, seed=788))
         M = apsp_repeated_sssp(g)
         p = DistanceProvider.on_demand(g)
         dr = diameter_p1(g, find_radius(p), p)
         k, l = dr.peripheral_pair
-        assert (k, l) == (11, 3) and dr.vertices_bounded == 1
+        assert (k, l) == (3, 5) and (dr.vertices_bounded, dr.vertices_scanned) == (1, 1)
         assert dr.diameter == M.values[k, l]
         assert scan_metrics(M).diameter == M.values[l, k] == np.nextafter(dr.diameter, np.inf)
 
@@ -332,7 +362,7 @@ class TestFindDiameter:
 
     @pytest.mark.parametrize("g", [
         generate(GraphSpec(kind="sparse", n=12, seed=5, target_edges=16, integer_weights=True)),
-        generate(GraphSpec(kind="complete", n=30, seed=4)),
+        generate(GraphSpec(kind="complete", n=30, seed=5)),
     ], ids=["sparse12", "complete30"])
     def test_on_demand_search_reads_no_graph(self, g):
         p, q = DistanceProvider.on_demand(g), DistanceProvider.on_demand(g)
