@@ -11,19 +11,18 @@ position where the two largest remaining center distances sum to no more
 than the bound. It first settles every row the provider already holds:
 their maxima raise the bound, and those rows are not read again. Then every
 held row x bounds each pair of vertices not yet settled, d(k, l) <= d(x, k)
-+ d(x, l) (Takes & Kosters, Algorithms 2013), and a visited vertex whose
-pairs the held rows all bound by the current lower bound is passed over
-without an SSSP: through ecc(k) <= d(x, k) + ecc(x) first, then through the
-pair bound over the vertices still unsettled. One or two vertices need no
-special case: (p1, p2) is then the only pair, and neither scan finds a
-distance that beats it.
++ d(x, l) (Takes & Kosters, Algorithms 2013), and a visited vertex is
+passed over without an SSSP when the held rows bound all its pairs with
+the vertices still unsettled by the current lower bound. One or two
+vertices need no special case: (p1, p2) is then the only pair, and neither
+scan finds a distance that beats it.
 
 Both report the peripheral pair (k, l) with the distance d(k, l) read from
 row k. With float weights the same shortest path summed from l can differ by
 one ulp, so an all-pairs oracle whose maximum takes the pair from the other
 end may differ from the reported diameter in the last bit. Integer weights
-sum exactly, and the two agree. For the same reason the held-row bounds are
-exact with integer weights; with float weights they can, like the
+sum exactly, and the two agree. For the same reason the held-row pair bound
+is exact with integer weights; with float weights it can, like the
 center-sum stop, pass over a pair that beats the lower bound only by
 summation-order ulps.
 
@@ -48,8 +47,8 @@ class DiameterResult:
     peripheral_pair: tuple[int, int]
     d_lower_trace: list[float]
     vertices_scanned: int
-    # D1: vertices passed over without an SSSP by either held-row bound; the
-    # rows held at D1's start are settled, not re-read, and counted in neither
+    # D1: vertices passed over without an SSSP by the held-row pair bound;
+    # the rows held at D1's start are settled, not re-read, and not counted
     vertices_bounded: int
     pairs_checked: int
     sssp_count: int
@@ -124,14 +123,14 @@ def diameter_p1(
       yet visited are at most sd[i] + sd[i + 1] apart (triangle inequality
       through the center), so the scan stops at the first position where
       that sum cannot beat the bound.
-    - A visited vertex k leaves R without an SSSP when either bound below,
-      taken over the held rows x (those held at the start and those this
-      scan has read; Takes & Kosters, Algorithms 2013), is at most the
-      bound. Otherwise its row is read, its maximum raises the bound, and
-      the row joins the held rows.
-      - ub[k] = min over x of d(x, k) + ecc(x) bounds ecc(k).
-      - The pair bound, min over x of d(x, k) + max{d(x, l) : l in R,
-        l != k}, bounds d(k, l) for every l in R, and is at most ub[k].
+    - A visited vertex k leaves R without an SSSP when the pair bound, min
+      over the held rows x (those held at the start and those this scan
+      has read) of d(x, k) + max{d(x, l) : l in R, l != k}, is at most the
+      bound: it bounds d(k, l) for every l in R (Takes & Kosters,
+      Algorithms 2013). Otherwise its row is read, its maximum raises the
+      bound, and the row joins the held rows. The pair bound is at most
+      min over x of d(x, k) + ecc(x), the eccentricity bound, so it passes
+      over every vertex that one would.
     Why the pair bound is enough: k is the first vertex of R in iFUB order,
     so R without k is what stays unsettled once k leaves. A pair whose other
     end has left R is settled already: by that end's row maximum, or by the
@@ -170,7 +169,10 @@ def diameter_p1(
     in_r = np.ones(n, dtype=bool)
     in_r[sources] = False
     block[:, sources] = -np.inf
-    own: list[list] = []  # per row read here: [row, ecc, l in R farthest from it, d]
+    # Rows read here, each with its farthest vertex in R and that distance.
+    rows: list[np.ndarray] = []
+    far_l: list[int] = []
+    far_d: list[float] = []
 
     pairs_checked = scanned = bounded = 0
     for i in range(n - 1):
@@ -183,23 +185,22 @@ def diameter_p1(
         in_r[k] = False
         d_k = block[:, k].copy()
         block[:, k] = -np.inf
-        if min((d_k + ecc).tolist() + [row[k] + e for row, e, _, _ in own]) <= d_l:
-            bounded += 1  # ub[k]
-            continue
-        for entry in own:
-            row, _, l, _ = entry
+        for j, l in enumerate(far_l):
             if not in_r[l]:
-                rest = np.where(in_r, row, -np.inf)
-                l = int(rest.argmax())
-                entry[2:] = l, rest[l]
+                rest = np.where(in_r, rows[j], -np.inf)
+                far_l[j] = l = int(rest.argmax())
+                far_d[j] = float(rest[l])
         far = block[at, block.argmax(axis=1)]  # max over R per row; -inf once R is empty
-        if min((d_k + far).tolist() + [row[k] + d for row, _, _, d in own]) <= d_l:
-            bounded += 1  # the pair bound
+        own = [row[k] + d for row, d in zip(rows, far_d)]
+        if min((d_k + far).tolist() + own) <= d_l:
+            bounded += 1
             continue
         row = provider.row(k)
         scanned += 1
         v, l = eccentricity(row)
-        own.append([row, v, k, 0.0])  # k is out of R: found at the next pair test
+        rows.append(row)
+        far_l.append(k)  # k is out of R: found at the next pair test
+        far_d.append(0.0)
         if v > d_l:
             d_l = v
             pair = (k, l)
