@@ -190,8 +190,8 @@ class TestHeldRowBound:
         whi=st.sampled_from([0, 1, 3, 100]),
     )
     def test_sound_with_integer_weights(self, seed, kind, n, extra, whi):
-        """The held-row bounds pass over no pair that beats the bound, and
-        they never cost an SSSP that ub alone would not."""
+        """The held-row pair bound passes over no pair that beats the bound,
+        and it never costs an SSSP that ub alone would not."""
         g = generate(GraphSpec(
             kind=kind, n=n, seed=seed, weight_range=(0.0, float(whi)), integer_weights=True,
             target_edges=n - 1 + int(extra * n) if kind == "sparse" else None,
@@ -214,7 +214,7 @@ class TestHeldRowBound:
         assert dr.vertices_scanned <= todays_rule(g)[1]
 
     def test_fewer_sssps_than_todays_rule(self):
-        """Over many graphs the bounds pass over vertices; D1 finds the
+        """Over many graphs the pair bound passes over vertices; D1 finds the
         diameter today's rule finds, never with more SSSPs, and with fewer
         on some graphs."""
         bounded = fewer = 0
