@@ -141,11 +141,11 @@ def diameter_p1(
     the weight rules of from_arcs and generate, which keep 4 * n * w_max
     finite (graph._edge_weights).
 
-    The rows held at the start are copied once into one array, whose
-    columns of vertices out of R are set to -inf, so a pair test over them
-    is one argmax. A row read here is not copied: its farthest vertex in R
-    is kept, and found again, in a temporary of one row, at the first pair
-    test after that vertex has left R.
+    No held row is copied. Each keeps its farthest vertex and that
+    distance. Once that vertex is out of R, the row's farthest vertex in R
+    is found again in one reused buffer of n entries: the row plus a mask
+    that is 0 on R and -inf off it. A finite entry plus -inf is -inf, so the mask
+    cannot overflow a sum or form inf - inf.
     """
     n = provider.n
     center_row = provider.row(rr.center)
@@ -155,24 +155,21 @@ def diameter_p1(
     d_l = float(provider.row(p1)[p2])
     trace = [d_l]
 
+    # Each held row's farthest vertex and that distance; a record whose
+    # vertex is out of R is found again at the next pair test.
     held = provider.held_rows()
     sources = list(held)
-    block = np.array(list(held.values()))  # block[j, l] = d(sources[j], l)
-    at = np.arange(len(sources))
-    top = block.argmax(axis=1)  # the smallest id of each row's maximum
-    ecc = block[at, top]
-    j = int(ecc.argmax())  # the first row holding the largest maximum
-    if ecc[j] > d_l:
-        d_l = float(ecc[j])
-        pair = (sources[j], int(top[j]))
+    rows = list(held.values())
+    far_l = [int(row.argmax()) for row in rows]  # the smallest id of the maximum
+    far_d = [float(row[l]) for row, l in zip(rows, far_l)]
+    j = far_d.index(max(far_d))  # the first row holding the largest maximum
+    if far_d[j] > d_l:
+        d_l = far_d[j]
+        pair = (sources[j], far_l[j])
         trace.append(d_l)
-    in_r = np.ones(n, dtype=bool)
-    in_r[sources] = False
-    block[:, sources] = -np.inf
-    # Rows read here, each with its farthest vertex in R and that distance.
-    rows: list[np.ndarray] = []
-    far_l: list[int] = []
-    far_d: list[float] = []
+    out = np.zeros(n)  # 0 on R, -inf off R
+    out[sources] = -np.inf
+    rest = np.empty(n)
 
     pairs_checked = scanned = bounded = 0
     for i in range(n - 1):
@@ -180,27 +177,23 @@ def diameter_p1(
         if sd[i] + sd[i + 1] <= d_l:
             break
         k = order[i]
-        if not in_r[k]:  # held at the start: settled
+        if out[k]:  # held at the start: settled
             continue
-        in_r[k] = False
-        d_k = block[:, k].copy()
-        block[:, k] = -np.inf
+        out[k] = -np.inf
         for j, l in enumerate(far_l):
-            if not in_r[l]:
-                rest = np.where(in_r, rows[j], -np.inf)
+            if out[l]:
+                np.add(rows[j], out, out=rest)  # -inf once R is empty
                 far_l[j] = l = int(rest.argmax())
                 far_d[j] = float(rest[l])
-        far = block[at, block.argmax(axis=1)]  # max over R per row; -inf once R is empty
-        own = [row[k] + d for row, d in zip(rows, far_d)]
-        if min((d_k + far).tolist() + own) <= d_l:
+        if min(row[k] + d for row, d in zip(rows, far_d)) <= d_l:
             bounded += 1
             continue
         row = provider.row(k)
         scanned += 1
         v, l = eccentricity(row)
         rows.append(row)
-        far_l.append(k)  # k is out of R: found at the next pair test
-        far_d.append(0.0)
+        far_l.append(l)
+        far_d.append(v)
         if v > d_l:
             d_l = v
             pair = (k, l)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,6 +255,54 @@ class TestHeldRowBound:
         assert (dr.diameter, dr.vertices_scanned, dr.vertices_bounded) == (9.0, 0, 1)
         assert dr.sssp_count == rr.sssp_count
         assert todays_rule(g)[1] == 1
+
+    def test_last_unsettled_vertex_empties_r(self):
+        """The held rows 2, 0 and 3 leave vertex 1 the only vertex in R.
+        Visiting it empties R, so every row's farthest vertex in R reads
+        -inf and the pair bound passes 1 over."""
+        g = generate(GraphSpec(kind="sparse", n=4, seed=1021, target_edges=5,
+                               weight_range=(0, 3), integer_weights=True))
+        p = DistanceProvider.on_demand(g)
+        rr = find_radius(p)
+        assert list(p.held_rows()) == [2, 0, 3]
+        dr = diameter_p1(g, rr, p)
+        assert (dr.diameter, dr.vertices_scanned, dr.vertices_bounded) == (3.0, 0, 1)
+        assert dr.sssp_count == rr.sssp_count
+        assert dr.diameter == scan_metrics(apsp_repeated_sssp(g)).diameter
+
+    def test_working_memory_does_not_grow_with_held_rows(self, monkeypatch):
+        """D1 copies no held row: its peak allocation, less what it leaves
+        allocated, grows by less than one row with 32 more rows held at its
+        start. The kernel is replaced by copies of rows computed outside
+        the measured call, so its temporaries do not count."""
+        g = generate(GraphSpec(kind="sparse", n=2000, seed=0, target_edges=6000,
+                               weight_range=(1.0, 100.0), integer_weights=True))
+        computed = {}
+
+        def row_copy(graph, source):
+            if source not in computed:
+                computed[source] = sssp(graph, source)
+            return computed[source].copy()
+
+        monkeypatch.setattr(graphmetrics.sssp, "sssp", row_copy)
+
+        def working_bytes(extra):
+            p = DistanceProvider.on_demand(g)
+            rr = find_radius(p)
+            for s in extra:
+                p.row(s)
+            tracemalloc.start()
+            try:
+                diameter_p1(g, rr, p)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - current
+
+        extra = range(0, g.n, 63)
+        for held in ([], extra):  # compute every row first
+            working_bytes(held)
+        assert working_bytes(extra) - working_bytes([]) < 8 * g.n
 
     def test_float_pair_is_read_from_row_k(self):
         """With float weights D1 reports d(k, l) as row k holds it. Here D1
