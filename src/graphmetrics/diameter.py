@@ -57,7 +57,7 @@ class DiameterResult:
 
 def build_candidate_order(center_dist: np.ndarray) -> np.ndarray:
     """Vertex ids by distance to the center, descending (ties: smaller id)."""
-    return np.argsort(-center_dist, kind="stable")
+    return (-center_dist).argsort(kind="stable")
 
 
 def find_diameter(rr: RadiusResult, provider: DistanceProvider) -> DiameterResult:
@@ -86,7 +86,7 @@ def diameter_p2(
     trace = [d_l]
     center_row = provider.row(rr.center)
     # Superset of survivors under the initial bound; the bound only grows.
-    candidates = np.flatnonzero(center_row > d_l / 2.0)
+    candidates = (center_row > d_l / 2.0).nonzero()[0]
     scanned = 0
     for i in candidates.tolist():
         if center_row[i] <= d_l / 2.0:

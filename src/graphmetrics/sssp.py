@@ -66,13 +66,17 @@ SPARSE_DEGREE_CUT = 64.0
 # Both phases stop at Dijkstra's fixed point d[v] = min over u of
 # fl(d[u] + w(u, v)): float addition rounds monotonically, so no label falls
 # below Dijkstra's value, and at the end no arc can lower one. So rows equal
-# sssp_vectorized's bit for bit. Per SSSP on a 2-core x86 machine in a slow
-# phase, seed 0, 20 sources, heap alone -> this kernel, best of 5:
-# sparse:100:300 0.26 -> 0.09 ms, complete:50 0.52 -> 0.09 ms (rows converge
-# in rounds), sparse:1000:4000 3.8 -> 0.87 ms; long thin graphs hand over
-# after the warm-up and pay for it, path:300 0.32 -> 0.35 ms and grid 70x70
-# 11.6 -> 11.8-12.1 ms. Rounds to convergence or a fixed round cap lose on
-# such graphs (ROADMAP, "Measured and dropped").
+# sssp_vectorized's bit for bit. Per SSSP on a 2-core x86 machine, seed 0,
+# 20 sources, heap alone -> this kernel, best of 5 in each of 3 runs:
+# sparse:100:300 0.135 -> 0.046 ms, complete:50 0.27 -> 0.044 ms (rows
+# converge in rounds), sparse:1000:4000 2.0 -> 0.43 ms; long thin graphs hand
+# over after the warm-up and pay for it, path:300 0.154 -> 0.170 ms and grid
+# 70x70 6.0 -> 6.2 ms. Rounds to convergence or a fixed round cap lose on
+# such graphs (ROADMAP, "Measured and dropped"). At these sizes a round is
+# bound by numpy's cost per call, not by its arcs, so the kernel calls
+# ndarray methods, np.empty and np.fromiter rather than their Python-level
+# wrappers (np.count_nonzero, np.flatnonzero, np.full, np.array), which cost
+# 2-4x as much per call on a 100-entry array.
 WARMUP_ROUNDS = 2
 THIN = 32
 
@@ -95,7 +99,8 @@ def sssp(g: Graph, source: int) -> np.ndarray:
     n = g.n
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range")
-    dist = np.full(n, np.inf)
+    dist = np.empty(n)
+    dist.fill(np.inf)
     dist[source] = 0.0
     seeds = [source]
     # reduceat would give a vertex without arcs the next vertex's first arc
@@ -122,13 +127,12 @@ def sssp(g: Graph, source: int) -> np.ndarray:
                 # confirmed by the next round, with the same labels
                 dist = new
                 continue
-            lowered = new < dist
-            count = np.count_nonzero(lowered)
+            lowered = (new < dist).nonzero()[0]
             dist = new
-            if count == 0:
+            if lowered.size == 0:
                 return _checked(dist, source)
-            if count < n // THIN:
-                seeds = np.flatnonzero(lowered).tolist()
+            if lowered.size < n // THIN:
+                seeds = lowered.tolist()
                 break
     # memoryview items are plain Python ints and floats, as list items would
     # be, but nothing is copied. Indexing one costs more than indexing a
@@ -147,7 +151,7 @@ def sssp(g: Graph, source: int) -> np.ndarray:
             if dv < d[v]:
                 d[v] = dv
                 heappush(heap, (dv, v))
-    return _checked(np.array(d), source)
+    return _checked(np.fromiter(d, np.float64, n), source)
 
 
 def _checked(dist: np.ndarray, source: int) -> np.ndarray:

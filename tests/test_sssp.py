@@ -1,6 +1,7 @@
 import sys
 from contextlib import contextmanager
 from heapq import heapify
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphmetrics
+import graphmetrics.diameter as diameter_module
 import graphmetrics.sssp as sssp_module
 from graphmetrics.cli import parse_gen_spec
+from graphmetrics.diameter import diameter_p1, diameter_p2
 from graphmetrics.graph import GraphSpec, generate
-from graphmetrics.oracle import apsp_repeated_sssp, floyd_warshall
+from graphmetrics.oracle import apsp_repeated_sssp, build_matrix, floyd_warshall
+from graphmetrics.radius import find_radius
 from graphmetrics.sssp import (
     SPARSE_DEGREE_CUT,
     DisconnectedGraphError,
@@ -151,6 +155,26 @@ def _rounds_run():
         yield calls
 
 
+@contextmanager
+def _numpy_lookups(*modules):
+    """The set of attribute names looked up on np in the given modules."""
+    names = set()
+
+    class Numpy:
+        def __getattr__(self, name):
+            names.add(name)
+            return getattr(np, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in modules:
+            mp.setattr(module, "np", Numpy())
+        yield names
+
+
+def _gen(spec):
+    return generate(parse_gen_spec(spec))
+
+
 class TestListRelaxation:
     """sssp's relaxation rounds and heap against the vectorized reference."""
 
@@ -247,6 +271,70 @@ class TestListRelaxation:
             for source in (-1, g.n):
                 with pytest.raises(ValueError, match=f"source {source} out of range"):
                     sssp(g, source)
+
+
+class TestRowContract:
+    """Every exit of sssp returns what the module docstring promises: a
+    fresh C-contiguous float64 row of length n with row[source] == 0, sharing
+    memory with neither the graph's arrays nor another row."""
+
+    @staticmethod
+    def _rows(g):
+        rows = {s: sssp(g, s) for s in range(g.n)}
+        for s, row in rows.items():
+            assert type(row) is np.ndarray and row.dtype == np.float64
+            assert row.shape == (g.n,) and row.flags.c_contiguous and row.flags.owndata
+            assert row[s] == 0.0
+            for array in (g.indptr, g.indices, g.weights):
+                assert not np.shares_memory(row, array)
+        for a, b in combinations(rows.values(), 2):
+            assert not np.shares_memory(a, b)
+        return rows
+
+    def test_rows_that_converge_in_the_rounds(self):
+        with _heaps_started() as heaps:
+            self._rows(_gen("complete:50:seed=0:wlo=0:whi=100:int=0"))
+        assert heaps == []
+
+    @pytest.mark.parametrize("g, handed_over", [
+        (_path(300), 300),
+        (_gen("sparse:100:300:seed=0:wlo=1:whi=100:int=1"), 63),  # the others converge
+    ])
+    def test_rows_handed_to_the_heap(self, g, handed_over):
+        with _heaps_started() as heaps:
+            self._rows(g)
+        assert len(heaps) == handed_over
+
+    def test_vectorized_rows(self):
+        g = _gen("complete:70:seed=0:wlo=0:whi=100:int=0")
+        assert g.average_degree >= SPARSE_DEGREE_CUT
+        with _heaps_started() as heaps:
+            self._rows(g)
+        assert heaps == []
+
+    def test_one_vertex(self):
+        assert self._rows(build_graph(1, []))[0].tolist() == [0.0]
+
+
+def test_hot_path_avoids_numpy_wrappers():
+    # At these sizes a relaxation round is bound by numpy's cost per call,
+    # and these Python-level wrappers cost 2-4x the ndarray methods, np.empty
+    # and np.fromiter that sssp and the diameter scans use in their place.
+    wrappers = {"count_nonzero", "flatnonzero", "full", "array", "argsort"}
+    sparse = _gen("sparse:100:300:seed=0:wlo=1:whi=100:int=1")
+    graphs = [_gen("complete:50:seed=0:wlo=0:whi=100:int=0"), sparse, _path(300)]
+    matrix = build_matrix(_gen("complete:120:seed=0:wlo=0:whi=100:int=0"))
+    assert all(g.average_degree < SPARSE_DEGREE_CUT for g in graphs)
+    with _numpy_lookups(sssp_module, diameter_module) as names, _heaps_started() as heaps:
+        for g in graphs:
+            for s in range(g.n):
+                sssp(g, s)
+        provider = DistanceProvider.on_demand(sparse)
+        diameter_p1(sparse, find_radius(provider), provider)
+        provider = DistanceProvider.from_matrix(matrix)
+        diameter_p2(matrix, find_radius(provider), provider)
+    assert heaps and "minimum" in names  # both the rounds and the heap ran
+    assert names.isdisjoint(wrappers), sorted(names & wrappers)
 
 
 class TestEccentricity:
