@@ -109,6 +109,20 @@ class Graph:
             return 0
         return int(np.minimum.reduceat(self.weights, self.indptr[:-1]).argmax())
 
+    @cached_property
+    def sums_exact(self) -> bool:
+        """True iff every weight is an integer and w_max * (n - 1) < 2**53;
+        found once per graph. True when the graph has no arcs.
+
+        A shortest path has at most n - 1 arcs, so every distance is then an
+        integer below 2**53, which float64 holds exactly, whatever the order
+        of the sum. sssp runs such graphs on int64 labels.
+        """
+        w = self.weights
+        if not w.size:
+            return True
+        return bool((np.trunc(w) == w).all()) and int(w.max()) * (self.n - 1) < 2**53
+
 
 def from_arcs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
     """Build a Graph from directed arc arrays.

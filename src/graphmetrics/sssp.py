@@ -77,8 +77,30 @@ SPARSE_DEGREE_CUT = 64.0
 # ndarray methods, np.empty and np.fromiter rather than their Python-level
 # wrappers (np.count_nonzero, np.flatnonzero, np.full, np.array), which cost
 # 2-4x as much per call on a 100-entry array.
+#
+# When g.sums_exact holds, the same loop runs on int64 labels and int64
+# weights, which np.minimum.reduceat and the adds handle faster than float64,
+# with INT_UNREACHED in place of inf; each exit converts the row to float64
+# once. Every reached label is an integer below 2**53 and each comparison
+# between reached labels is decided as the float loop decides it, so the row,
+# the hand-over round and the heap seeds are the float loop's. No clamp
+# keeps the unreached labels at INT_UNREACHED: after round r a vertex the
+# rounds have not reached holds INT_UNREACHED + m_r(v), m_r(v) the lightest
+# walk of r - 1 arcs through unreached vertices. Dropping such a walk's first
+# arc leaves a walk that qualified a round earlier, so with non-negative
+# weights m_r(v) never falls, and new < dist never counts an unreached vertex,
+# as inf < inf never does. The rounds stop within n + 1 rounds, so these
+# labels stay below INT_UNREACHED + (n + 1) * w_max < 2**63. The int64
+# weights are converted per call, about 2% of an answer, and not kept on
+# the graph, which would cost 8 bytes per arc for as long as it lives. On
+# sparse:100:300 with integer weights 1-100 (seed i for graph i), medians of
+# 11 alternating pairs in one process on a 2-core x86 machine in its slow
+# phase, float64 -> int64 labels: 0.102 -> 0.082 ms per SSSP (20 sources of
+# 64 graphs) and 950 -> 821 us per R1 + D1 answer (256 graphs), lower in 10
+# of 11 pairs each; float-weight graphs stayed level.
 WARMUP_ROUNDS = 2
 THIN = 32
+INT_UNREACHED = 2**62
 
 
 def sssp(g: Graph, source: int) -> np.ndarray:
@@ -89,38 +111,50 @@ def sssp(g: Graph, source: int) -> np.ndarray:
     the row is sssp_vectorized's. Below it the row is found in numpy
     relaxation rounds over the whole CSR; when the rounds thin out, a binary
     heap (lazy deletion) finishes it arc by arc, reading g's CSR arrays
-    through memoryviews, so nothing is copied or kept between calls. All
-    paths produce the same distances bit for bit. No sum d[u] + w
-    overflows on a graph that passed the weight rules of from_arcs and
-    generate, which keep 4 * n * w_max finite (graph._edge_weights).
+    through memoryviews, so nothing is copied or kept between calls. When
+    g.sums_exact holds (integer weights, w_max * (n - 1) < 2**53) the rounds
+    and the heap run on int64 labels, with int64 weights converted per call
+    and INT_UNREACHED in place of inf, and each exit converts the row to
+    float64 once; every distance is then an integer below 2**53, and an
+    unreached label never counts as lowered (the comment above
+    WARMUP_ROUNDS), so the rounds, the heap seeds and the row are the float
+    loop's. All paths produce the same distances bit for bit. No sum
+    d[u] + w overflows on a graph that passed the weight rules of from_arcs
+    and generate, which keep 4 * n * w_max finite (graph._edge_weights), nor
+    on int64 labels, which stay below INT_UNREACHED + (n + 1) * w_max < 2**63.
     """
     if g.average_degree >= SPARSE_DEGREE_CUT:
         return sssp_vectorized(g, source)
     n = g.n
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range")
-    dist = np.empty(n)
-    dist.fill(np.inf)
-    dist[source] = 0.0
+    if g.sums_exact:
+        weights, unreached = g.weights.astype(np.int64), INT_UNREACHED
+    else:
+        weights, unreached = g.weights, np.inf
+    dist = np.empty(n, weights.dtype)
+    dist.fill(unreached)
+    dist[source] = 0
     seeds = [source]
     # reduceat would give a vertex without arcs the next vertex's first arc
     # (or read past the end for the last vertex), so such graphs skip the
     # rounds; with n > 1 they are disconnected, and the heap names the vertex.
     if g.every_vertex_has_arc:
-        starts, indices, weights = g.indptr[:-1], g.indices, g.weights
-        # Round 1 is the source's own arcs: only dist[source] is finite, so
-        # the round would give each neighbor v 0.0 + w(v, source) and every
-        # other vertex inf. The CSR is symmetric with one arc per neighbor
-        # and no self-loop (dist[source] stays 0.0), and it holds no -0.0,
-        # so 0.0 + w has w's bytes.
-        neighbors, arc_weights = g.neighbors(source)
-        dist[neighbors] = arc_weights
+        starts, indices = g.indptr[:-1], g.indices
+        # Round 1 is the source's own arcs: only dist[source] is reached, so
+        # the round would give each neighbor v 0.0 + w(v, source) and leave
+        # every other vertex unreached. The CSR is symmetric with one arc per
+        # neighbor and no self-loop (dist[source] stays 0.0), and it holds no
+        # -0.0, so 0.0 + w has w's bytes. The arcs come from weights, in the
+        # labels' dtype: float64 assigned into int64 costs about 1 us more.
+        lo, hi = g.indptr[source], g.indptr[source + 1]
+        dist[indices[lo:hi]] = weights[lo:hi]
         rounds = 1
         while True:
             new = dist[indices]  # one 2m-long temporary per round
             new += weights
             new = np.minimum.reduceat(new, starts)
-            new[source] = 0.0  # every other label is at most its last value
+            new[source] = 0  # every other reached label is at most its last value
             rounds += 1
             if rounds <= WARMUP_ROUNDS:
                 # nothing reads the count yet; a row that settles here is
@@ -130,14 +164,14 @@ def sssp(g: Graph, source: int) -> np.ndarray:
             lowered = (new < dist).nonzero()[0]
             dist = new
             if lowered.size == 0:
-                return _checked(dist, source)
+                return _checked(dist, source, unreached).astype(np.float64, copy=False)
             if lowered.size < n // THIN:
                 seeds = lowered.tolist()
                 break
     # memoryview items are plain Python ints and floats, as list items would
     # be, but nothing is copied. Indexing one costs more than indexing a
     # list: long paths pay about 15% per SSSP (CHANGES.md has the table).
-    indptr, indices, weights = map(memoryview, (g.indptr, g.indices, g.weights))
+    indptr, indices, weights = map(memoryview, (g.indptr, g.indices, weights))
     d = dist.tolist()
     heap = [(d[u], u) for u in seeds]
     heapify(heap)
@@ -151,15 +185,20 @@ def sssp(g: Graph, source: int) -> np.ndarray:
             if dv < d[v]:
                 d[v] = dv
                 heappush(heap, (dv, v))
-    return _checked(np.fromiter(d, np.float64, n), source)
+    return _checked(np.fromiter(d, np.float64, n), source, unreached)
 
 
-def _checked(dist: np.ndarray, source: int) -> np.ndarray:
-    """dist, or DisconnectedGraphError naming its smallest unreachable id."""
-    far = int(dist.argmax())  # the first maximum: the smallest id when any label is inf
-    if dist[far] < np.inf:
+def _checked(dist: np.ndarray, source: int, unreached=np.inf) -> np.ndarray:
+    """dist, or DisconnectedGraphError naming its smallest unreachable id.
+
+    A label is unreachable from unreached up: inf, or on int64 labels
+    INT_UNREACHED plus a walk through unreached vertices, so two such labels
+    can differ and argmax alone need not find the smallest id.
+    """
+    far = int(dist.argmax())
+    if dist[far] < unreached:
         return dist
-    raise DisconnectedGraphError(source, far)
+    raise DisconnectedGraphError(source, int((dist >= unreached).argmax()))
 
 
 def sssp_vectorized(g: Graph, source: int) -> np.ndarray:

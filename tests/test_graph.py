@@ -415,6 +415,35 @@ class TestFromArcs:
         g = build_graph(5, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 9.0), (0, 4, 1.0)])
         assert g.walk_start == 3
 
+    @pytest.mark.parametrize("spec", [
+        GraphSpec("sparse", 100, target_edges=300, weight_range=(1, 100), integer_weights=True),
+        GraphSpec("complete", 50, weight_range=(0, 100), integer_weights=True),
+    ])
+    def test_sums_exact_on_integer_specs(self, spec):
+        assert generate(spec).sums_exact
+        assert not generate(dataclasses.replace(spec, integer_weights=False)).sums_exact
+
+    def test_sums_exact_on_an_integer_dimacs_file(self, tmp_path):
+        path = tmp_path / "g.gr"
+        path.write_text("p sp 3 2\na 1 2 7\na 2 3 0\n")
+        assert load_dimacs(path).sums_exact
+
+    def test_sums_exact_needs_every_weight_integral(self):
+        edges = [(0, 1, 3.0), (1, 2, 4.0), (2, 3, 1.0)]
+        assert build_graph(4, edges).sums_exact
+        for k in range(3):
+            u, v, w = edges[k]
+            one_off = edges[:k] + [(u, v, w + 0.5)] + edges[k + 1:]
+            assert not build_graph(4, one_off).sums_exact
+
+    def test_sums_exact_one_vertex(self):
+        assert build_graph(1, []).sums_exact
+
+    def test_sums_exact_boundary(self):
+        # w_max * (n - 1) must stay below 2**53; on n = 3 that is w_max < 2**52
+        assert build_graph(3, [(0, 1, 2.0**52 - 1), (1, 2, 1.0)]).sums_exact
+        assert not build_graph(3, [(0, 1, 2.0**52), (1, 2, 1.0)]).sums_exact
+
     @pytest.mark.parametrize("name", ["indptr", "indices", "weights"])
     def test_csr_arrays_are_read_only(self, path4, name):
         with pytest.raises(ValueError, match="read-only"):

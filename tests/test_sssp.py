@@ -14,7 +14,7 @@ import graphmetrics.diameter as diameter_module
 import graphmetrics.sssp as sssp_module
 from graphmetrics.cli import parse_gen_spec
 from graphmetrics.diameter import diameter_p1, diameter_p2
-from graphmetrics.graph import GraphSpec, generate
+from graphmetrics.graph import Graph, GraphSpec, generate
 from graphmetrics.oracle import apsp_repeated_sssp, build_matrix, floyd_warshall
 from graphmetrics.radius import find_radius
 from graphmetrics.sssp import (
@@ -114,9 +114,33 @@ def _seeded_graph(seed, dense, weights, cut_off):
     return build_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
 
 
-def _path(n):
+def _path(n, integer=False):
     rng = np.random.default_rng(0)
-    return build_graph(n, [(i, i + 1, float(rng.uniform(0.0, 100.0))) for i in range(n - 1)])
+    weights = rng.integers(1, 101, n - 1) if integer else rng.uniform(0.0, 100.0, n - 1)
+    return build_graph(n, [(i, i + 1, float(w)) for i, w in enumerate(weights)])
+
+
+def _float_loop(g):
+    """A Graph of g's arrays on which sssp keeps float64 labels, as it does on
+    every graph whose sums are not exact."""
+    twin = Graph(g.indptr, g.indices, g.weights)
+    twin.__dict__["sums_exact"] = False  # set where the cached property keeps its value
+    return twin
+
+
+@contextmanager
+def _checked_labels():
+    """The labels each sssp exit hands to _checked, int64 or float64."""
+    labels = []
+
+    def spy(dist, *args):
+        labels.append(dist.copy())
+        return checked(dist, *args)
+
+    checked = sssp_module._checked
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sssp_module, "_checked", spy)
+        yield labels
 
 
 @contextmanager
@@ -199,14 +223,34 @@ class TestListRelaxation:
             assert heaps == []
 
     def test_path_hands_over_after_the_warm_up(self):
-        g = _path(300)
-        for s in (0, 150, 299):
-            with _heaps_started() as heaps:
-                row = sssp(g, s)
-            assert len(heaps) == 1
-            # seeded with what the first round after the warm-up lowered
-            assert {abs(v - s) for _, v in heaps[0]} == {sssp_module.WARMUP_ROUNDS + 1}
-            assert row.tobytes() == sssp_vectorized(g, s).tobytes()
+        for integer in (False, True):
+            g = _path(300, integer)
+            assert g.sums_exact == integer  # integer weights run on int64 labels
+            for s in (0, 150, 299):
+                with _heaps_started() as heaps, _rounds_run() as calls:
+                    row = sssp(g, s)
+                assert len(heaps) == 1
+                # seeded with what the first round after the warm-up lowered
+                assert {abs(v - s) for _, v in heaps[0]} == {sssp_module.WARMUP_ROUNDS + 1}
+                assert row.tobytes() == sssp_vectorized(g, s).tobytes()
+                with _heaps_started() as float_heaps, _rounds_run() as float_calls:
+                    assert sssp(_float_loop(g), s).tobytes() == row.tobytes()
+                # the same hand-over round and the same seeds as the float loop
+                assert (len(calls), heaps) == (len(float_calls), float_heaps)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cut_off=st.sampled_from([None, "vertex", "component"]))
+    def test_int64_labels_run_the_float_loop(self, seed, cut_off):
+        # rounds, hand-over and heap seeds, not only the rows, are the float
+        # loop's; unreached int64 labels rise but never count as lowered
+        g = _seeded_graph(seed, False, "int", cut_off)
+        assert g.sums_exact
+        for s in range(g.n):
+            with _heaps_started() as heaps, _rounds_run() as calls:
+                outcome = _outcome(sssp, g, s)
+            with _heaps_started() as float_heaps, _rounds_run() as float_calls:
+                assert _outcome(sssp, _float_loop(g), s) == outcome
+            assert (len(calls), heaps) == (len(float_calls), float_heaps)
 
     def test_complete_converges_in_rounds(self):
         g = generate(GraphSpec(kind="complete", n=50, seed=0))
@@ -264,6 +308,51 @@ class TestListRelaxation:
             assert (exc.value.source, exc.value.vertex) == (4, 1)
             assert heaps == []  # sssp converges in rounds with inf left
 
+    @pytest.mark.parametrize("path", [2, 300])  # converges in the rounds; hands over
+    def test_disconnected_names_the_smallest_unreachable_id(self, path):
+        # vertices 0-2 are cut off from a path on the others; their int64
+        # labels grow by walks of unequal weight, so the largest is vertex
+        # 2's, also in float64 at the heap's exit (one ulp of 2**62 is 1024)
+        cut_off = [(0, 1, 1.0), (1, 2, 5000.0)]
+        g = build_graph(path + 3, cut_off + [(3 + i, 4 + i, 2.0) for i in range(path - 1)])
+        assert g.sums_exact
+        for s in (3, path + 2):
+            with _checked_labels() as labels, _heaps_started() as heaps:
+                with pytest.raises(DisconnectedGraphError) as exc:
+                    sssp(g, s)
+            assert (exc.value.source, exc.value.vertex) == (s, 0)
+            assert _outcome(sssp_vectorized, g, s) == ("unreachable", s, 0)
+            assert len(heaps) == (path > 2)
+            (dist,) = labels
+            assert dist[0] != dist[2] and int(dist.argmax()) == 2  # argmax alone names 2
+
+    @pytest.mark.parametrize("n", [40, 300])  # converges in the rounds; hands over
+    @pytest.mark.parametrize("side", ["below", "past"])
+    @pytest.mark.parametrize("cut_off", [False, True])
+    def test_integer_sums_at_the_exact_limit(self, n, side, cut_off):
+        # A path of w_max arcs reaches (n - 1) * w_max, the largest label
+        # sums_exact allows: just below 2**53 runs int64 labels, just past
+        # it the float loop. int64 adds wrap without a warning, so only the
+        # bytes can show an overflow; unreached labels rise from 2**62.
+        total = n + 3 if cut_off else n
+        w_max = (2**53 - 1) // (total - 1) + (side == "past")
+        rng = np.random.default_rng(n)
+        edges = [(i, i + 1, float(w_max)) for i in range(n - 1)]
+        extra = rng.integers(0, n, (n // 4, 2))
+        edges += [(int(a), int(b), float(rng.integers(w_max // 2, w_max + 1))) for a, b in extra]
+        if cut_off:
+            edges += [(n, n + 1, float(w_max)), (n + 1, n + 2, float(w_max - 7))]
+        g = build_graph(total, edges)
+        assert g.sums_exact == (side == "below")
+        for s in (0, n // 2, n - 1, total - 1):
+            with _numpy_lookups(sssp_module) as names, _heaps_started() as heaps:
+                outcome = _outcome(sssp, g, s)
+            assert outcome == _outcome(sssp_vectorized, g, s)
+            assert ("int64" in names) == g.sums_exact
+            assert bool(heaps) == (n == 300 and s < n)  # the cut-off part converges
+            if cut_off:
+                assert outcome == ("unreachable", s, n if s < n else 0)
+
     def test_source_out_of_range(self, path4):
         dense = generate(GraphSpec(kind="complete", n=70))
         assert dense.average_degree >= SPARSE_DEGREE_CUT  # sssp_vectorized's own check
@@ -292,9 +381,12 @@ class TestRowContract:
         return rows
 
     def test_rows_that_converge_in_the_rounds(self):
-        with _heaps_started() as heaps:
-            self._rows(_gen("complete:50:seed=0:wlo=0:whi=100:int=0"))
-        assert heaps == []
+        for integer in (0, 1):  # float64, int64 labels
+            g = _gen(f"complete:50:seed=0:wlo=0:whi=100:int={integer}")
+            assert g.sums_exact == integer
+            with _heaps_started() as heaps:
+                self._rows(g)
+            assert heaps == []
 
     @pytest.mark.parametrize("g, handed_over", [
         (_path(300), 300),
