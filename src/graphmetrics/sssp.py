@@ -94,10 +94,11 @@ SPARSE_DEGREE_CUT = 64.0
 # weights are converted per call, about 2% of an answer, and not kept on
 # the graph, which would cost 8 bytes per arc for as long as it lives. On
 # sparse:100:300 with integer weights 1-100 (seed i for graph i), medians of
-# 11 alternating pairs in one process on a 2-core x86 machine in its slow
-# phase, float64 -> int64 labels: 0.102 -> 0.082 ms per SSSP (20 sources of
-# 64 graphs) and 950 -> 821 us per R1 + D1 answer (256 graphs), lower in 10
-# of 11 pairs each; float-weight graphs stayed level.
+# 11 alternating pairs in one process on a 2-core x86 machine, float64 ->
+# int64 labels: 0.058 -> 0.050 ms per SSSP (20 sources of 64 graphs) and
+# 562 -> 500 us per R1 + D1 answer (256 graphs), lower in 10 of 11 pairs
+# each. Float graphs keep float64 labels and stayed level: complete:50 with
+# float weights read 0.0939 -> 0.0935 ms per SSSP.
 WARMUP_ROUNDS = 2
 THIN = 32
 INT_UNREACHED = 2**62
@@ -110,8 +111,8 @@ def sssp(g: Graph, source: int) -> np.ndarray:
     The kernel follows g's average degree alone. From SPARSE_DEGREE_CUT on
     the row is sssp_vectorized's. Below it the row is found in numpy
     relaxation rounds over the whole CSR; when the rounds thin out, a binary
-    heap (lazy deletion) finishes it arc by arc, reading g's CSR arrays
-    through memoryviews, so nothing is copied or kept between calls. When
+    heap (lazy deletion) finishes it arc by arc, reading the CSR arrays
+    through memoryviews, so nothing is kept between calls. When
     g.sums_exact holds (integer weights, w_max * (n - 1) < 2**53) the rounds
     and the heap run on int64 labels, with int64 weights converted per call
     and INT_UNREACHED in place of inf, and each exit converts the row to
@@ -130,11 +131,12 @@ def sssp(g: Graph, source: int) -> np.ndarray:
         raise ValueError(f"source {source} out of range")
     if g.sums_exact:
         weights, unreached = g.weights.astype(np.int64), INT_UNREACHED
+        dist = np.empty(n, np.int64)
     else:
         weights, unreached = g.weights, np.inf
-    dist = np.empty(n, weights.dtype)
+        dist = np.empty(n)
     dist.fill(unreached)
-    dist[source] = 0
+    dist[source] = 0.0
     seeds = [source]
     # reduceat would give a vertex without arcs the next vertex's first arc
     # (or read past the end for the last vertex), so such graphs skip the
@@ -154,7 +156,7 @@ def sssp(g: Graph, source: int) -> np.ndarray:
             new = dist[indices]  # one 2m-long temporary per round
             new += weights
             new = np.minimum.reduceat(new, starts)
-            new[source] = 0  # every other reached label is at most its last value
+            new[source] = 0.0  # every other reached label is at most its last value
             rounds += 1
             if rounds <= WARMUP_ROUNDS:
                 # nothing reads the count yet; a row that settles here is

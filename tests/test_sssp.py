@@ -306,7 +306,7 @@ class TestListRelaxation:
             with _heaps_started() as heaps, pytest.raises(DisconnectedGraphError) as exc:
                 search(g, 4)
             assert (exc.value.source, exc.value.vertex) == (4, 1)
-            assert heaps == []  # sssp converges in rounds with inf left
+            assert heaps == []  # sssp converges in rounds with vertices unreached
 
     @pytest.mark.parametrize("path", [2, 300])  # converges in the rounds; hands over
     def test_disconnected_names_the_smallest_unreachable_id(self, path):
