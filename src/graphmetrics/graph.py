@@ -88,7 +88,7 @@ class Graph:
 
     @property
     def average_degree(self) -> float:
-        return 2.0 * self.m / self.n if self.n else 0.0
+        return 2.0 * self.m / self.n
 
     @cached_property
     def every_vertex_has_arc(self) -> bool:
@@ -438,10 +438,13 @@ class GraphSpec:
             raise GraphValidationError(
                 f"integer weight range [{lo}, {hi}] needs int(hi) + 1 within int64"
             )
-        if self.kind == "sparse":
-            target = self.target_edges if self.target_edges is not None else 2 * self.n
-            if target < self.n - 1:
-                raise GraphValidationError("sparse graph needs target edges >= n - 1")
+        if self.kind == "sparse" and self.edge_target < self.n - 1:
+            raise GraphValidationError("sparse graph needs target edges >= n - 1")
+
+    @property
+    def edge_target(self) -> int:
+        """The sparse generator's edge count: target_edges, or 2n if unset."""
+        return self.target_edges if self.target_edges is not None else 2 * self.n
 
 
 def _draw_weights(rng: np.random.Generator, count: int, spec: GraphSpec) -> np.ndarray:
@@ -464,7 +467,7 @@ def generate(spec: GraphSpec) -> Graph:
     if spec.kind == "complete":
         return _complete(n, _draw_weights(rng, n * (n - 1) // 2, spec))
 
-    target = spec.target_edges if spec.target_edges is not None else 2 * n
+    target = spec.edge_target
     perm = rng.permutation(n)
     pairs: set[tuple[int, int]] = set()
     for i in range(1, n):

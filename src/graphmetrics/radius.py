@@ -19,16 +19,12 @@ from .sssp import DisconnectedGraphError, DistanceProvider, eccentricity
 def far_pair(provider: DistanceProvider) -> tuple[tuple[int, int], np.ndarray, list[int]]:
     """Find two mutually remote vertices by the farthest-vertex walk.
 
-    On demand the walk starts at Graph.walk_start, a vertex near the
-    periphery, so the walk takes fewer steps and its first row is a strong
-    pivot. Over a matrix it starts at vertex 0: finding such a vertex there
-    takes an n x n scan, and the walk's rows cost no SSSP. From the start it
-    repeatedly jumps to the farthest vertex (smallest id on ties) until it
-    reaches a vertex it has already walked; that vertex and the last one
-    are the pair. Every step but the last walks a new vertex, so the walk
-    reads each row once, reads at most n rows, and holds both returned
-    rows, but for vertex 1 of the pair (0, 1) returned when every distance
-    is 0 ((0, 0) on one vertex).
+    The walk starts at provider.walk_start and repeatedly jumps to the
+    farthest vertex (smallest id on ties) until it reaches a vertex it has
+    already walked; that vertex and the last one are the pair. Every step
+    but the last walks a new vertex, so the walk reads each row once, reads
+    at most n rows, and holds both returned rows, but for vertex 1 of the
+    pair (0, 1) returned when every distance is 0 ((0, 0) on one vertex).
 
     Returns the pair, the elementwise maximum of the rows walked (a fresh
     array: each entry bounds its vertex's eccentricity from below) and the
@@ -48,7 +44,7 @@ def far_pair(provider: DistanceProvider) -> tuple[tuple[int, int], np.ndarray, l
     distinct vertices makes that strict, and following it round gives
     v[i] < v[i].
     """
-    cur = 0 if provider.graph is None else provider.graph.walk_start
+    cur = provider.walk_start
     try:
         row = provider.row(cur)
     except DisconnectedGraphError:
@@ -91,12 +87,10 @@ def find_radius(provider: DistanceProvider) -> RadiusResult:
     bound on ecc(v) (Takes & Kosters, Algorithms 2013). The pivots start as
     every vertex the far-pair walk read, whose rows far_pair hands over
     already folded into bound, so no walk row is read again or thrown away.
-    On demand the walk starts at the graph's walk_start, over a matrix at
-    vertex 0, so the two modes can read different rows and, where the
-    radius has several centers, report different ones.
     Loop: pick the unexamined vertex with the smallest bound, verify its
     true eccentricity (tightening the upper bound), and if the bounds have
-    not met, add its farthest vertex as a new pivot.
+    not met, read the row of its farthest vertex, unless that vertex is a
+    pivot already, and add it as a new pivot.
 
     An examined vertex is pinned at +inf in bound: its eccentricity is known
     and at least r_upper, so it no longer bounds the radius, and picking a
@@ -124,9 +118,8 @@ def find_radius(provider: DistanceProvider) -> RadiusResult:
         trace.append((r_lower, r_upper))
         if r_lower >= r_upper:
             break
-        row = provider.row(far_v)  # read even when far_v is a pivot: rows_accessed counts it
-        if far_v not in pivots:  # a known pivot adds no information
-            np.maximum(bound, row, out=bound)
+        if far_v not in pivots:  # a known pivot's row is folded in already
+            np.maximum(bound, provider.row(far_v), out=bound)
             pivots.append(far_v)
 
     return RadiusResult(

@@ -7,8 +7,9 @@ relaxing each neighborhood with numpy; sparser graphs run numpy relaxation
 rounds over the whole graph and hand the thin tail to a heap that relaxes
 arc by arc in Python, reading the read-only CSR arrays directly. The
 provider hides whether rows come from an on-demand sssp run (Problem 1) or
-from a precomputed all-pairs matrix (Problem 2), and keeps usage statistics
-so searches can report how little of the graph they touched.
+from a precomputed all-pairs matrix (Problem 2), and where the far-pair walk
+starts on that backing (walk_start), and keeps usage statistics so searches
+can report how little of the graph they touched.
 """
 from __future__ import annotations
 
@@ -256,6 +257,13 @@ class DistanceProvider:
     cached the same way. Exactly one of graph and matrix is set.
     rows_accessed counts every row read that returns a row, sssp_count only
     rows actually computed. held_rows shows the cached rows without reading any.
+
+    walk_start is the vertex the far-pair walk starts at. On demand it is
+    graph.walk_start, a vertex near the periphery, so the walk takes fewer
+    steps and its first row is a strong pivot. Over a matrix it is vertex 0:
+    finding that vertex there takes an n x n scan, and the walk's rows cost
+    no SSSP. So the two backings can read different rows and, where the
+    radius has several centers, report different ones.
     """
 
     def __init__(self, graph: Graph | None = None, matrix: DistanceMatrix | None = None):
@@ -264,6 +272,7 @@ class DistanceProvider:
         self.graph = graph
         self.matrix = matrix
         self.n = graph.n if graph is not None else matrix.n
+        self.walk_start = graph.walk_start if graph is not None else 0
         self._cache: dict[int, np.ndarray] = {}
         self.sssp_count = 0
         self.rows_accessed = 0

@@ -512,6 +512,14 @@ class TestGenerate:
             with pytest.raises(GraphValidationError, match=f"^graph refused: n={n} is too large"):
                 GraphSpec(kind=kind, n=n)
 
+    def test_sparse_edge_target_defaults_to_2n(self):
+        assert GraphSpec(kind="sparse", n=10).edge_target == 20
+        assert GraphSpec(kind="sparse", n=10, target_edges=9).edge_target == 9
+        a = generate(GraphSpec(kind="sparse", n=30, seed=1))
+        b = generate(GraphSpec(kind="sparse", n=30, seed=1, target_edges=60))
+        assert a.indices.tobytes() == b.indices.tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes()
+
     def test_invalid_specs(self):
         with pytest.raises(GraphValidationError):
             GraphSpec(kind="sparse", n=10, target_edges=5)

@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,9 @@ from hypothesis import strategies as st
 
 from graphmetrics.graph import GraphSpec, generate
 from graphmetrics.oracle import apsp_repeated_sssp, dijkstra_matrix, scan_metrics
-from graphmetrics.diameter import diameter_p2
+from graphmetrics.diameter import diameter_p2, find_diameter
 from graphmetrics.radius import RadiusResult, far_pair, find_radius
-from graphmetrics.sssp import DisconnectedGraphError, DistanceMatrix, DistanceProvider
+from graphmetrics.sssp import DisconnectedGraphError, DistanceMatrix, DistanceProvider, eccentricity, sssp
 
 from conftest import build_graph
 
@@ -62,12 +64,15 @@ def assert_walk_reads_each_row_once(g):
 
 
 def assert_walk_starts_at_walk_start(g):
-    """On demand the walk starts at g.walk_start, over a matrix at 0. Where
-    every vertex has an arc, the start's lightest arc is the largest of any
-    vertex's (the first such vertex), and no other vertex is closer to it."""
+    """The walk starts at the provider's walk_start: on demand g.walk_start,
+    over a matrix 0. Where every vertex has an arc, the start's lightest arc
+    is the largest of any vertex's (the first such vertex), and no other
+    vertex is closer to it."""
     on_demand = DistanceProvider.on_demand(g)
+    over_matrix = DistanceProvider.from_matrix(dijkstra_matrix(g))
+    assert (on_demand.walk_start, over_matrix.walk_start) == (g.walk_start, 0)
     assert far_pair(on_demand)[2][0] == g.walk_start
-    assert far_pair(DistanceProvider.from_matrix(dijkstra_matrix(g)))[2][0] == 0
+    assert far_pair(over_matrix)[2][0] == 0
     if not g.every_vertex_has_arc:
         assert g.walk_start == 0
         return
@@ -137,6 +142,43 @@ class TestFarPair:
         rng = np.random.default_rng(1)
         sample = M[rng.integers(0, 100, 50), rng.integers(0, 100, 50)]
         assert M[p1, p2] >= sample.max()
+
+
+class RowsOnly:
+    """A provider with only the row contract: rows memoized from sssp, the
+    walk start and the counters. It has no backing (graph and matrix are
+    None), so a search that looked past the contract would go wrong here."""
+
+    graph = matrix = None
+
+    def __init__(self, g):
+        self._g = g
+        self.n = g.n
+        self.walk_start = g.walk_start
+        self._rows = {}
+        self.sssp_count = self.rows_accessed = 0
+
+    def row(self, source):
+        if source not in self._rows:
+            self._rows[source] = sssp(self._g, source)
+            self.sssp_count += 1
+        self.rows_accessed += 1
+        return self._rows[source]
+
+    def held_rows(self):
+        return MappingProxyType(self._rows)
+
+
+# find_diameter runs D1 on a provider whose matrix is None.
+@settings(max_examples=300, deadline=None)
+@given(walk_graphs(st.integers(0, 3)) | walk_graphs(st.floats(0.0, 100.0)))
+def test_searches_read_only_the_row_contract(g):
+    rows_only, on_demand = RowsOnly(g), DistanceProvider.on_demand(g)
+    rr = find_radius(rows_only)
+    assert rr == find_radius(on_demand)
+    assert find_diameter(rr, rows_only) == find_diameter(rr, on_demand)
+    # each row read is a pivot's first or a candidate's
+    assert rr.rows_accessed == len(rr.pivots) + rr.candidates_examined
 
 
 class TestFindRadius:
@@ -213,6 +255,20 @@ class TestFindRadius:
         assert rr.radius == oracle.radius
         assert rr.center == oracle.all_centers[0]
 
+    @pytest.mark.parametrize("mode", ["p1", "p2"])
+    def test_pivot_row_is_not_read_again(self, mode):
+        # The first candidate is walk vertex 0, whose farthest vertex is walk
+        # vertex 1; its float bound sits an ulp below its eccentricity, so the
+        # search goes on, and row 1, folded in already, is not read again.
+        g = PINNED["complete5"][0]
+        provider = (DistanceProvider.on_demand(g) if mode == "p1"
+                    else DistanceProvider.from_matrix(apsp_repeated_sssp(g)))
+        rr = find_radius(provider)
+        assert rr.pivots == far_pair(DistanceProvider.on_demand(g))[2] == [0, 1, 2]
+        assert rr.candidates_examined == 2
+        assert rr.rows_accessed == len(rr.pivots) + rr.candidates_examined == 5
+        assert eccentricity(provider.row(0))[1] == 1
+
     def test_counts_come_from_provider(self, path4):
         p = DistanceProvider.on_demand(path4)
         rr = find_radius(p)
@@ -240,6 +296,10 @@ PINNED = {
                   (52.549648746070396, 5, (6, 0), [0, 6, 4], 2, 5, 5,
                    [(47.658484007382285, 52.549648746070396),
                     (52.549648746070396, 52.549648746070396)])),
+    "complete5": (generate(GraphSpec(kind="complete", n=5, seed=130)),
+                  (31.587682188443967, 0, (2, 1), [0, 1, 2], 2, 4, 5,
+                   [(31.587682188443964, 31.587682188443967),
+                    (31.587682188443967, 31.587682188443967)])),
     "sparse60": (generate(GraphSpec(kind="sparse", n=60, seed=5, target_edges=150,
                                     weight_range=(1.0, 100.0), integer_weights=True)),
                  (112.0, 2, (27, 54), [0, 54, 27, 38], 2, 6, 6, [(107.0, 113.0), (112.0, 112.0)])),
