@@ -101,9 +101,9 @@ class Graph:
         ties); found once per graph.
 
         Every other vertex is at least that lightest arc away from it, so it
-        lies near the periphery, where the far-pair walk starts. It is 0 when
-        some vertex has no arc (one vertex, or a disconnected graph), and
-        when every weight is 0.
+        lies near the periphery, where an on-demand provider starts the
+        far-pair walk. It is 0 when some vertex has no arc (one vertex, or a
+        disconnected graph), and when every weight is 0.
         """
         if not self.every_vertex_has_arc:  # also keeps reduceat's segments non-empty
             return 0

@@ -9,7 +9,7 @@ from graphmetrics.graph import GraphSpec, generate
 from graphmetrics.oracle import apsp_repeated_sssp, dijkstra_matrix, scan_metrics
 from graphmetrics.diameter import diameter_p2, find_diameter
 from graphmetrics.radius import RadiusResult, far_pair, find_radius
-from graphmetrics.sssp import DisconnectedGraphError, DistanceMatrix, DistanceProvider, eccentricity, sssp
+from graphmetrics.sssp import DisconnectedGraphError, DistanceMatrix, DistanceProvider, sssp
 
 from conftest import build_graph
 
@@ -255,20 +255,6 @@ class TestFindRadius:
         assert rr.radius == oracle.radius
         assert rr.center == oracle.all_centers[0]
 
-    @pytest.mark.parametrize("mode", ["p1", "p2"])
-    def test_pivot_row_is_not_read_again(self, mode):
-        # The first candidate is walk vertex 0, whose farthest vertex is walk
-        # vertex 1; its float bound sits an ulp below its eccentricity, so the
-        # search goes on, and row 1, folded in already, is not read again.
-        g = PINNED["complete5"][0]
-        provider = (DistanceProvider.on_demand(g) if mode == "p1"
-                    else DistanceProvider.from_matrix(apsp_repeated_sssp(g)))
-        rr = find_radius(provider)
-        assert rr.pivots == far_pair(DistanceProvider.on_demand(g))[2] == [0, 1, 2]
-        assert rr.candidates_examined == 2
-        assert rr.rows_accessed == len(rr.pivots) + rr.candidates_examined == 5
-        assert eccentricity(provider.row(0))[1] == 1
-
     def test_counts_come_from_provider(self, path4):
         p = DistanceProvider.on_demand(path4)
         rr = find_radius(p)
@@ -296,6 +282,9 @@ PINNED = {
                   (52.549648746070396, 5, (6, 0), [0, 6, 4], 2, 5, 5,
                    [(47.658484007382285, 52.549648746070396),
                     (52.549648746070396, 52.549648746070396)])),
+    # The first candidate is walk vertex 0, whose farthest vertex is walk
+    # vertex 1. Its float bound sits an ulp below its eccentricity, so the
+    # search goes on; row 1 is folded in already and is not read again.
     "complete5": (generate(GraphSpec(kind="complete", n=5, seed=130)),
                   (31.587682188443967, 0, (2, 1), [0, 1, 2], 2, 4, 5,
                    [(31.587682188443964, 31.587682188443967),
